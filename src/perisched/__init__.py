@@ -8,13 +8,13 @@ benchmark networks and a CLI experiment harness.
 """
 
 from .codec import GeneBounds, Genotype, decode, gene_bounds, random_genotype
-from .engine import GaConfig, RunResult, Termination, crossover, mutate, run, select_parent
+from .engine import GaConfig, RunResult, Termination, run
 from .errors import (
     BoundInversion,
     ConfigInvalid,
+    EvaluatorMismatch,
     GenerationInfeasible,
     IoError,
-    LengthMismatch,
     MalformedInstance,
     MissingEvent,
     OutOfBoundsGene,
@@ -55,6 +55,7 @@ __all__ = [
     "ConnectionSpec",
     "ConstraintKind",
     "EvaluationReport",
+    "EvaluatorMismatch",
     "Event",
     "EventKind",
     "GaConfig",
@@ -64,7 +65,6 @@ __all__ = [
     "Instance",
     "InstanceMeta",
     "IoError",
-    "LengthMismatch",
     "MalformedInstance",
     "MissingEvent",
     "OutOfBoundsGene",
@@ -83,7 +83,6 @@ __all__ = [
     "WeightConfig",
     "build_cs1",
     "check_independent",
-    "crossover",
     "decode",
     "derive_bounds",
     "eval_constraint",
@@ -93,10 +92,8 @@ __all__ = [
     "gene_bounds",
     "generate_cs2_like",
     "load",
-    "mutate",
     "random_genotype",
     "run",
     "save",
-    "select_parent",
     "shift_timetable",
 ]

@@ -2,7 +2,9 @@
 harness, and clock-time rendering of timetables.
 
 Exit codes: 0 perfect timetable, 1 feasible but some connections missed,
-2 hard violations remain, 64 usage error, 65 unreadable or invalid input.
+2 hard violations remain, 64 usage error, 65 unreadable or invalid input,
+70 internal error. Codes 0-2 follow the best timetable's violation
+counts, not its weighted fitness, so they mean the same under any weights.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -342,11 +345,11 @@ def _cmd_solve(args) -> int:
         instances.save_timetable(decoded, args.timetable_out)
         print(f"timetable written to {args.timetable_out}")
 
-    if report.weighted_fitness == 0:
-        return 0
-    if report.feasible:
+    if report.hard_violations:
+        return 2
+    if report.soft_violations:
         return 1
-    return 2
+    return 0
 
 
 def _cmd_experiment(args) -> int:
@@ -474,6 +477,10 @@ def main(argv=None) -> int:
         return 64
     except TimetablingError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 70
+    except Exception:
+        traceback.print_exc()
+        print("error: internal failure", file=sys.stderr)
         return 70
 
 

@@ -9,7 +9,8 @@ The first gene may take any value in ``[0, period - 1]``; every running
 and dwell gene is confined to its own window from the instance. Decoding
 accumulates the section left to right and reduces each event time mod the
 period, so a decoded timetable can never violate a running or dwell
-constraint.
+constraint. Gene column i decodes to the time of event i of the
+instance's `EventIndex`.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfBoundsGene
-from .model import Event, Instance, Timetable
+from .model import Instance, Timetable
 
 __all__ = [
     "GeneBounds",
     "Genotype",
     "gene_bounds",
-    "section_offsets",
     "decode",
+    "decode_array",
     "random_genotype",
 ]
 
@@ -49,11 +50,6 @@ class GeneBounds:
     def __len__(self) -> int:
         return len(self.lo)
 
-    def contains(self, genotype: Genotype) -> bool:
-        return len(genotype) == len(self.lo) and all(
-            lo <= g <= hi for g, lo, hi in zip(genotype.genes, self.lo, self.hi)
-        )
-
     def check(self, genotype: Genotype) -> None:
         if len(genotype) != len(self.lo):
             raise OutOfBoundsGene(
@@ -62,16 +58,6 @@ class GeneBounds:
         for pos, (g, lo, hi) in enumerate(zip(genotype.genes, self.lo, self.hi)):
             if not lo <= g <= hi:
                 raise OutOfBoundsGene(f"gene {pos} = {g} outside [{lo}, {hi}]")
-
-
-def section_offsets(instance: Instance) -> tuple[int, ...]:
-    """Start index of each train's section, in instance train order."""
-    offsets = []
-    pos = 0
-    for train in instance.trains:
-        offsets.append(pos)
-        pos += 2 * len(train.route)
-    return tuple(offsets)
 
 
 def gene_bounds(instance: Instance) -> GeneBounds:
@@ -91,33 +77,31 @@ def gene_bounds(instance: Instance) -> GeneBounds:
     return GeneBounds(tuple(lo), tuple(hi))
 
 
-def decode(genotype: Genotype, instance: Instance) -> Timetable:
-    """Turn a genotype into the timetable it encodes.
+def decode_array(genes: np.ndarray, instance: Instance) -> np.ndarray:
+    """Event times encoded by a genotype (1-D) or by each row of a matrix
+    of genotypes (2-D); the last axis runs over gene/event columns.
 
     Within each train section the genes are accumulated in order and every
-    intermediate sum, reduced mod the period, becomes the next event time.
-    In-bounds genotypes therefore satisfy all running and dwell windows by
-    construction.
+    prefix sum, reduced mod the period, becomes the next event time. One
+    cumulative sum runs over the whole row; subtracting each section's
+    gene sum from the first gene of the next section makes that sum
+    restart at every section.
     """
+    offsets = instance.event_index.section_offsets
+    times = np.array(genes, dtype=np.int64)
+    times[..., offsets[1:]] -= np.add.reduceat(genes, offsets, axis=-1)[..., :-1]
+    np.cumsum(times, axis=-1, out=times)
+    times %= instance.period
+    return times
+
+
+def decode(genotype: Genotype, instance: Instance) -> Timetable:
+    """Turn a genotype into the timetable it encodes (`decode_array` on
+    one row). In-bounds genotypes satisfy all running and dwell windows
+    by construction; out-of-bounds ones are rejected."""
     gene_bounds(instance).check(genotype)
-    T = instance.period
-    genes = genotype.genes
-    times: dict[Event, int] = {}
-    pos = 0
-    for train in instance.trains:
-        clock = genes[pos]
-        pos += 1
-        times[Event.departure(train.id, train.route[0].from_station)] = clock % T
-        last = len(train.route) - 1
-        for k, trip in enumerate(train.route):
-            clock += genes[pos]
-            pos += 1
-            times[Event.arrival(train.id, trip.to_station)] = clock % T
-            if k < last:
-                clock += genes[pos]
-                pos += 1
-                times[Event.departure(train.id, trip.to_station)] = clock % T
-    return Timetable(T, times)
+    times = decode_array(np.asarray(genotype.genes, dtype=np.int64), instance)
+    return Timetable(instance.period, dict(zip(instance.event_index.events, times.tolist())))
 
 
 def random_genotype(bounds: GeneBounds, rng: np.random.Generator) -> Genotype:

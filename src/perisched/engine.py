@@ -9,9 +9,7 @@ construction of the encoding, so an individual's fitness is the weighted
 violation count of the pairwise families only (headway, single-track,
 connection); zero fitness is a timetable satisfying everything.
 
-The generation step operates on the whole population as numpy arrays; the
-single-individual operators (`select_parent`, `crossover`, `mutate`)
-implement the same semantics one individual at a time.
+The generation step operates on the whole population as numpy arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from . import codec, model
-from .errors import ConfigInvalid, LengthMismatch, MissingEvent
+from .errors import ConfigInvalid, EvaluatorMismatch, MissingEvent
+
+
+_PAIR_KINDS = (
+    model.ConstraintKind.HEADWAY,
+    model.ConstraintKind.SINGLE_TRACK,
+    model.ConstraintKind.CONNECTION,
+)
 
 
 class Termination(Enum):
@@ -86,73 +91,57 @@ class CompiledProblem:
     """Array form of an instance plus constraint set, for evaluating whole
     populations at once.
 
-    Event times of a decoded genotype are exactly the within-section
-    prefix sums of its genes reduced mod the period, so batch decoding is
-    one cumulative sum plus a per-section rebase. Pairwise constraints
-    become index/bound arrays over the event columns.
+    Genotype rows decode to event-time rows with `codec.decode_array`.
+    Pairwise constraints become index/bound arrays over those event
+    columns, grouped by family so that violations are counted per family.
     """
 
     def __init__(self, instance: model.Instance, constraints: Sequence[model.PeriodicConstraint]):
         bounds = codec.gene_bounds(instance)
+        self.instance = instance
         self.period = instance.period
         self.gene_lo = np.asarray(bounds.lo, dtype=np.int64)
         self.gene_hi = np.asarray(bounds.hi, dtype=np.int64)
         self.length = len(bounds)
 
-        # column index of each event = its gene position in the layout
-        event_col: dict[model.Event, int] = {
-            e: col for col, e in enumerate(model.instance_events(instance))
-        }
-        # rebase column: prefix sums restart at every train section
-        base = np.empty(self.length, dtype=np.int64)
-        pos = 0
-        for train in instance.trains:
-            n = 2 * len(train.route)
-            base[pos : pos + n] = pos - 1
-            pos += n
-        self.rebase_col = base
+        # running and dwell hold by construction: their slices stay empty
+        pairs: list[model.PeriodicConstraint] = []
+        self.family_slice = {kind: slice(0, 0) for kind in model.ConstraintKind}
+        for kind in _PAIR_KINDS:
+            group = [c for c in constraints if c.kind is kind]
+            self.family_slice[kind] = slice(len(pairs), len(pairs) + len(group))
+            pairs += group
 
-        pair_kinds = (
-            model.ConstraintKind.HEADWAY,
-            model.ConstraintKind.SINGLE_TRACK,
-            model.ConstraintKind.CONNECTION,
-        )
-        pairs = [c for c in constraints if c.kind in pair_kinds]
-        self.pair_constraints = tuple(pairs)
-        for c in pairs:
-            for event in (c.earlier, c.later):
-                if event not in event_col:
-                    raise MissingEvent(
-                        f"constraint references {event.kind.value} of "
-                        f"{event.train} at {event.station}, which this "
-                        f"instance never schedules"
-                    )
-        self.pair_x = np.asarray([event_col[c.earlier] for c in pairs], dtype=np.int64)
-        self.pair_y = np.asarray([event_col[c.later] for c in pairs], dtype=np.int64)
+        column = instance.event_index.column
+        try:
+            self.pair_x = np.asarray([column[c.earlier] for c in pairs], dtype=np.int64)
+            self.pair_y = np.asarray([column[c.later] for c in pairs], dtype=np.int64)
+        except KeyError as e:
+            event = e.args[0]
+            raise MissingEvent(
+                f"constraint references {event.kind.value} of {event.train} at "
+                f"{event.station}, which this instance never schedules"
+            ) from None
         self.pair_lo = np.asarray([c.lo for c in pairs], dtype=np.int64)
         self.pair_width = np.asarray([c.hi - c.lo for c in pairs], dtype=np.int64)
-        weight_values = [instance.weights.weight_for(c.kind) for c in pairs]
-        self.pair_weight = np.asarray(weight_values)
-        self._int_weights = self.pair_weight.dtype.kind in "iu"
 
     def decode_batch(self, genes: np.ndarray) -> np.ndarray:
         """Event-time matrix (rows = individuals, columns = events)."""
-        full = np.cumsum(genes, axis=1)
-        rebased = full.copy()
-        mask = self.rebase_col >= 0
-        rebased[:, mask] -= full[:, self.rebase_col[mask]]
-        return rebased % self.period
+        return codec.decode_array(genes, self.instance)
 
-    def fitness_batch(self, genes: np.ndarray) -> np.ndarray:
-        """Pairwise-family weighted violation count per individual."""
+    def violation_counts(self, genes: np.ndarray) -> dict[model.ConstraintKind, np.ndarray]:
+        """Violated constraints of each family, per individual."""
         events = self.decode_batch(genes)
-        if len(self.pair_x) == 0:
-            dtype = np.int64 if self._int_weights else np.float64
-            return np.zeros(len(genes), dtype=dtype)
         d = (events[:, self.pair_y] - events[:, self.pair_x]) % self.period
         violated = ((d - self.pair_lo) % self.period) > self.pair_width
-        acc = violated.astype(np.int64 if self._int_weights else np.float64)
-        return acc @ self.pair_weight
+        return {
+            kind: np.count_nonzero(violated[:, cols], axis=1)
+            for kind, cols in self.family_slice.items()
+        }
+
+    def fitness_batch(self, genes: np.ndarray) -> np.ndarray:
+        """Weighted violation count per individual (`model.weighted_fitness`)."""
+        return model.weighted_fitness(self.violation_counts(genes), self.instance.weights)
 
     def random_population(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(
@@ -288,8 +277,9 @@ def run(
     Stops as soon as some evaluated individual violates nothing
     (``OPTIMUM_FOUND``) or the evaluation counter reaches the budget
     (``EVAL_LIMIT``). The reported best is re-checked against the scalar
-    evaluator over the complete constraint set; a mismatch would mean the
-    batched fitness diverged and raises immediately.
+    evaluator over the complete constraint set; if the two count a
+    different number of violations in any family, the batched evaluation
+    diverged and `EvaluatorMismatch` is raised.
     """
     start = time.perf_counter()
     state = init_state(instance, constraints, config)
@@ -299,10 +289,12 @@ def run(
     best_genotype = codec.Genotype(tuple(int(g) for g in state.best_genes))
     timetable = codec.decode(best_genotype, instance)
     report = model.evaluate(timetable, constraints, instance.weights)
-    if report.weighted_fitness != state.best_fitness:
-        raise AssertionError(
-            f"batched fitness {state.best_fitness} disagrees with canonical "
-            f"evaluation {report.weighted_fitness}"
+    batch = state.problem.violation_counts(state.best_genes[None, :])
+    batch_counts = {kind: int(count[0]) for kind, count in batch.items()}
+    if batch_counts != report.violations_by_type:
+        raise EvaluatorMismatch(
+            f"batched violation counts {_by_name(batch_counts)} disagree with "
+            f"canonical evaluation {_by_name(report.violations_by_type)}"
         )
     terminated = (
         Termination.OPTIMUM_FOUND if state.best_fitness == 0 else Termination.EVAL_LIMIT
@@ -320,59 +312,5 @@ def run(
     )
 
 
-def select_parent(
-    population: Sequence[codec.Genotype],
-    fitnesses: Sequence[int | float],
-    rng: np.random.Generator,
-    tournament_size: int = 2,
-) -> codec.Genotype:
-    """Tournament pick: draw `tournament_size` contestants uniformly with
-    replacement, return the fittest (ties to the lower index)."""
-    if not population:
-        raise ValueError("empty population")
-    contestants = rng.integers(0, len(population), size=tournament_size)
-    winner = int(contestants[0])
-    for c in contestants[1:]:
-        c = int(c)
-        if fitnesses[c] < fitnesses[winner] or (
-            fitnesses[c] == fitnesses[winner] and c < winner
-        ):
-            winner = c
-    return population[winner]
-
-
-def crossover(
-    a: codec.Genotype,
-    b: codec.Genotype,
-    rng: np.random.Generator,
-    rate: float = 0.9,
-) -> tuple[codec.Genotype, codec.Genotype]:
-    """One-point crossover with probability `rate`, else clones.
-
-    The cut position is uniform over [1, len-1], so offspring always mix
-    both parents; gene positions keep their own bounds, hence in-bounds
-    parents yield in-bounds children.
-    """
-    if len(a) != len(b):
-        raise LengthMismatch(f"genotype lengths differ: {len(a)} vs {len(b)}")
-    if rng.random() >= rate or len(a) < 2:
-        return a, b
-    cut = int(rng.integers(1, len(a)))
-    child_a = a.genes[:cut] + b.genes[cut:]
-    child_b = b.genes[:cut] + a.genes[cut:]
-    return codec.Genotype(child_a), codec.Genotype(child_b)
-
-
-def mutate(
-    g: codec.Genotype,
-    bounds: codec.GeneBounds,
-    rng: np.random.Generator,
-    rate: float,
-) -> codec.Genotype:
-    """Resample each gene with probability `rate`, uniformly within its
-    own bounds."""
-    genes = list(g.genes)
-    for pos in range(len(genes)):
-        if rng.random() < rate:
-            genes[pos] = int(rng.integers(bounds.lo[pos], bounds.hi[pos] + 1))
-    return codec.Genotype(tuple(genes))
+def _by_name(counts: dict[model.ConstraintKind, int]) -> dict[str, int]:
+    return {kind.value: n for kind, n in counts.items()}

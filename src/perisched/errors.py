@@ -25,8 +25,9 @@ class OutOfBoundsGene(TimetablingError):
     """A genotype gene lies outside its allowed range."""
 
 
-class LengthMismatch(TimetablingError):
-    """Two genotypes that must have equal length do not."""
+class EvaluatorMismatch(TimetablingError):
+    """The batched and scalar evaluators count different violations for
+    the same individual."""
 
 
 class ConfigInvalid(TimetablingError):

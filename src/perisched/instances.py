@@ -34,6 +34,7 @@ Timetables use a sibling format::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from importlib import resources
 from pathlib import Path
@@ -396,14 +397,14 @@ def load_timetable(path: str | Path, instance: Instance) -> Timetable:
             raise ValidationError(f"{where}: duplicate event")
         times[event] = _an_int(_want(entry, "time", where), f"{where} time")
 
-    expected = set(model.instance_events(instance))
+    index = instance.event_index
     for event in times:
-        if event not in expected:
+        if event not in index.column:
             raise ValidationError(
                 f"timetable lists {event.kind.value} of {event.train} at "
                 f"{event.station}, which the instance never schedules"
             )
-    for event in expected:
+    for event in index.events:
         if event not in times:
             raise MissingEvent(
                 f"timetable lacks {event.kind.value} of train {event.train} "
@@ -454,34 +455,9 @@ def _line_trains(
     )
 
 
-def _nominal_phase_times(train: Train, period: int) -> dict[Event, int]:
-    """Event times of a train departing at minute 0 with every running and
-    dwell gene at the middle of its window."""
-    times: dict[Event, int] = {}
-    clock = 0
-    times[Event.departure(train.id, train.route[0].from_station)] = 0
-    last = len(train.route) - 1
-    for k, trip in enumerate(train.route):
-        clock += _mid(trip.running_lo, trip.running_hi)
-        times[Event.arrival(train.id, trip.to_station)] = clock % period
-        if k < last:
-            clock += _mid(trip.dwell_after_lo, trip.dwell_after_hi)
-            times[Event.departure(train.id, trip.to_station)] = clock % period
-    return times
-
-
-def _nominal_timetable(
-    trains: tuple[Train, ...], phases: dict[str, int], period: int
-) -> Timetable:
-    times: dict[Event, int] = {}
-    for train in trains:
-        phase = phases[train.id]
-        for event, t in _nominal_phase_times(train, period).items():
-            times[event] = (t + phase) % period
-    return Timetable(period, times)
-
-
 def _nominal_genotype(instance: Instance, phases: dict[str, int]) -> codec.Genotype:
+    """Each train departs at its phase, every running and dwell gene sits
+    at the middle of its window."""
     genes: list[int] = []
     for train in instance.trains:
         genes.append(phases[train.id])
@@ -491,6 +467,10 @@ def _nominal_genotype(instance: Instance, phases: dict[str, int]) -> codec.Genot
             if k < last:
                 genes.append(_mid(trip.dwell_after_lo, trip.dwell_after_hi))
     return codec.Genotype(tuple(genes))
+
+
+def _nominal_timetable(instance: Instance, phases: dict[str, int]) -> Timetable:
+    return codec.decode(_nominal_genotype(instance, phases), instance)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +553,25 @@ def build_cs1() -> Instance:
             _line_trains(line_id, stations, _CS1_RUN, dwell, _CS1_HEADWAY[line_id])
         )
     trains.sort(key=lambda t: t.id)
+    segments = tuple(
+        Segment(a, b, (a, b) in _CS1_SINGLE_TRACK)
+        for a, b in sorted(_CS1_RUN)
+    )
+    skeleton = Instance(
+        period=T,
+        stations=tuple("ABCDEFGHIJ"),
+        segments=segments,
+        trains=tuple(trains),
+        connections=(),
+        weights=WeightConfig(),
+        meta=InstanceMeta(
+            name="cs1",
+            synthetic=False,
+            notes="ten-station four-line network with one single-track branch",
+        ),
+    )
 
-    reference = _nominal_timetable(tuple(trains), _CS1_PHASE, T)
+    reference = _nominal_timetable(skeleton, _CS1_PHASE)
     connections = []
     for feeder, onward, station in _CS1_TRANSFERS:
         gap = (
@@ -591,23 +588,7 @@ def build_cs1() -> Instance:
             )
         )
 
-    segments = tuple(
-        Segment(a, b, (a, b) in _CS1_SINGLE_TRACK)
-        for a, b in sorted(_CS1_RUN)
-    )
-    instance = Instance(
-        period=T,
-        stations=tuple("ABCDEFGHIJ"),
-        segments=segments,
-        trains=tuple(trains),
-        connections=tuple(connections),
-        weights=WeightConfig(),
-        meta=InstanceMeta(
-            name="cs1",
-            synthetic=False,
-            notes="ten-station four-line network with one single-track branch",
-        ),
-    )
+    instance = dataclasses.replace(skeleton, connections=tuple(connections))
     model.validate_instance(instance)
     return instance
 
@@ -793,13 +774,13 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         for delta in range(T):
             for train_id in movable:
                 phases[train_id] = (base[train_id] + delta) % T
-            tt = _nominal_timetable(tuple(trains), phases, T)
+            tt = _nominal_timetable(skeleton, phases)
             if all(model.eval_constraint(c, tt, T)[0] for c in relevant):
                 break
         else:
             return None
 
-    reference = _nominal_timetable(tuple(trains), phases, T)
+    reference = _nominal_timetable(skeleton, phases)
     if not all(model.eval_constraint(c, reference, T)[0] for c in pairwise):
         return None
 
@@ -856,9 +837,8 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         return None
 
     # the reference pattern must satisfy everything, including connections
-    genotype = _nominal_genotype(instance, phases)
     report = model.evaluate(
-        codec.decode(genotype, instance),
+        _nominal_timetable(instance, phases),
         model.derive_bounds(instance),
         instance.weights,
     )

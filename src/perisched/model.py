@@ -15,7 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,6 +137,34 @@ class InstanceMeta:
     notes: str = ""
 
 
+@dataclass(frozen=True, eq=False)
+class EventIndex:
+    """The events of an instance, interned to integer columns.
+
+    Column i of a genotype, and of a decoded event-time row, belongs to
+    ``events[i]``: trains in instance order, each train's events in
+    journey order (`train_events`). The columns of one train form its
+    section; ``section_offsets`` holds the first column of each section.
+    """
+
+    events: tuple[Event, ...]
+    column: dict[Event, int]
+    section_offsets: np.ndarray
+
+    @classmethod
+    def of(cls, trains: Sequence[Train]) -> "EventIndex":
+        events: list[Event] = []
+        offsets: list[int] = []
+        for train in trains:
+            offsets.append(len(events))
+            events.extend(train_events(train))
+        return cls(
+            tuple(events),
+            {e: col for col, e in enumerate(events)},
+            np.asarray(offsets, dtype=np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A full timetabling problem: network, trains and their bounds."""
@@ -147,6 +176,12 @@ class Instance:
     connections: tuple[ConnectionSpec, ...]
     weights: WeightConfig = WeightConfig()
     meta: InstanceMeta = InstanceMeta()
+
+    @cached_property
+    def event_index(self) -> EventIndex:
+        """This instance's event index, built on first use and then kept
+        (and pickled) with the instance."""
+        return EventIndex.of(self.trains)
 
 
 @dataclass(frozen=True)
@@ -240,14 +275,6 @@ def train_events(train: Train) -> tuple[Event, ...]:
         events.append(Event.departure(train.id, trip.from_station))
         events.append(Event.arrival(train.id, trip.to_station))
     return tuple(events)
-
-
-def instance_events(instance: Instance) -> tuple[Event, ...]:
-    """Every event of every train, in train order then journey order."""
-    out: list[Event] = []
-    for train in instance.trains:
-        out.extend(train_events(train))
-    return tuple(out)
 
 
 def validate_instance(instance: Instance) -> None:
@@ -554,6 +581,24 @@ def eval_constraint(
     return satisfied, q, d
 
 
+def weighted_fitness(
+    counts: Mapping[ConstraintKind, int | np.ndarray], weights: WeightConfig
+) -> int | float | np.ndarray:
+    """Fitness from violation counts per family: the sum of each count
+    times its family's weight, added one family at a time in
+    `ConstraintKind` order.
+
+    This is the only place counts become a fitness. Counts may be ints or
+    numpy arrays (one entry per individual); because the order of the
+    additions is fixed, both give bit-identical results, fractional
+    weights included. Integer weights give exact integers.
+    """
+    total = 0
+    for kind in ConstraintKind:  # a plain loop: sum() may compensate float rounding
+        total = total + counts[kind] * weights.weight_for(kind)
+    return total
+
+
 def evaluate(
     tt: Timetable,
     constraints: Sequence[PeriodicConstraint],
@@ -562,9 +607,8 @@ def evaluate(
     """Tally violations of each family and the weighted fitness.
 
     Each violated constraint counts once toward its family regardless of
-    how far outside the window the difference lies; the fitness is the
-    weighted sum of those counts (exact integer arithmetic when the
-    weights are integers).
+    how far outside the window the difference lies; the fitness is
+    `weighted_fitness` of those counts.
     """
     period = tt.period
     counts = {kind: 0 for kind in ConstraintKind}
@@ -574,8 +618,7 @@ def evaluate(
         if not satisfied:
             counts[c.kind] += 1
             violated.append(Violation(c, d, q))
-    fitness = sum(counts[k] * weights.weight_for(k) for k in ConstraintKind)
-    return EvaluationReport(counts, fitness, tuple(violated))
+    return EvaluationReport(counts, weighted_fitness(counts, weights), tuple(violated))
 
 
 def shift_timetable(tt: Timetable, delta: int, period: int) -> Timetable:
@@ -604,7 +647,7 @@ def random_timetable(
     instance: Instance, rng: np.random.Generator
 ) -> Timetable:
     """Uniform random canonical time for every event; a test utility."""
-    events = instance_events(instance)
+    events = instance.event_index.events
     times = rng.integers(0, instance.period, size=len(events))
     return Timetable(
         instance.period, {e: int(t) for e, t in zip(events, times)}

@@ -59,18 +59,18 @@ def exhaustive_min(
         raise SpaceTooLarge(size, space_cap)
 
     constraints = model.derive_bounds(instance)
-    weights = instance.weights
     T = instance.period
 
     best_fitness: int | float | None = None
     best_genes: tuple[int, ...] | None = None
     for combo in itertools.product(*axes):
         tt = codec.decode(codec.Genotype(combo), instance)
-        fitness = 0
+        counts = {kind: 0 for kind in model.ConstraintKind}
         for c in constraints:
             satisfied, _, _ = model.eval_constraint(c, tt, T)
             if not satisfied:
-                fitness += weights.weight_for(c.kind)
+                counts[c.kind] += 1
+        fitness = model.weighted_fitness(counts, instance.weights)
         if best_fitness is None or fitness < best_fitness:
             best_fitness = fitness
             best_genes = combo

@@ -107,7 +107,7 @@ def test_criterion_4_checker_equivalence(bundled):
             assert ours.weighted_fitness == theirs.weighted_fitness, name
 
     micro = MICRO_BUILDERS["unsat_connection"]()
-    events = model.instance_events(micro)
+    events = micro.event_index.events
     assert micro.period == 12 and len(events) == 4
     constraints = model.derive_bounds(micro)
     grid = np.stack(

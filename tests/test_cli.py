@@ -102,7 +102,7 @@ class TestSolve:
             ]
         )
         tt = instances.load_timetable(out_path, inst)
-        assert len(tt.times) == len(model.instance_events(inst))
+        assert len(tt.times) == len(inst.event_index.events)
 
     def test_weight_override_changes_fitness_scale(self, tmp_path, capsys):
         path = write_instance(tmp_path, micro_unsat_connection())
@@ -115,6 +115,45 @@ class TestSolve:
         out = capsys.readouterr().out
         assert code == 1
         assert "weighted fitness: 7" in out
+
+
+    def test_zero_connection_weight_still_exits_one(self, capsys):
+        # with w_c=0 every missed connection weighs nothing, so fitness 0
+        # ends the run; the exit code still reports the misses
+        code = cli.main(
+            ["solve", "--instance", "cs2", "--max-evals", "3K", "--weights", "w_c=0"]
+        )
+        out = capsys.readouterr().out
+        assert "optimum_found" in out
+        assert "connection 0" not in out
+        assert code == 1
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_fractional_weights_report_scalar_fitness(self, tmp_path, capsys, seed):
+        weights = "w_h=10.1,w_s=10.3,w_c=0.7"
+        out_path = tmp_path / "tt.json"
+        code = cli.main(
+            [
+                "solve", "--instance", "cs2", "--max-evals", "3K", "--seed", str(seed),
+                "--weights", weights, "--timetable-out", str(out_path),
+            ]
+        )
+        out = capsys.readouterr().out
+        instance = cli._load_instance("cs2", cli._parse_weights(weights))
+        tt = instances.load_timetable(out_path, instance)
+        report = model.evaluate(tt, model.derive_bounds(instance), instance.weights)
+        assert f"weighted fitness: {report.weighted_fitness}\n" in out
+        expected = 2 if report.hard_violations else 1 if report.soft_violations else 0
+        assert code == expected
+
+    def test_unexpected_exception_exits_70(self, tmp_path, capsys, monkeypatch):
+        def broken_run(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.engine, "run", broken_run)
+        path = write_instance(tmp_path, micro_single_track())
+        assert cli.main(["solve", "--instance", path]) == 70
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestExperiment:

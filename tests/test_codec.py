@@ -39,10 +39,16 @@ class TestGeneBounds:
         assert len(codec.gene_bounds(cs1)) == 64
 
     def test_section_offsets(self, cs1):
-        offsets = codec.section_offsets(cs1)
-        assert offsets[0] == 0
-        assert len(offsets) == len(cs1.trains)
-        assert all(b - a == 8 for a, b in zip(offsets, offsets[1:]))
+        # every cs1 train has four trips: eight columns per section
+        index = cs1.event_index
+        assert index.section_offsets.tolist() == list(range(0, 64, 8))
+        assert len(index.events) == len(codec.gene_bounds(cs1)) == 64
+        for col, event in enumerate(index.events):
+            assert index.column[event] == col
+            train = cs1.trains[col // 8]
+            assert event.train == train.id
+            if col % 8 == 0:
+                assert event == Event.departure(train.id, train.route[0].from_station)
 
 
 class TestDecode:

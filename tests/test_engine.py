@@ -5,10 +5,10 @@ import pytest
 
 from perisched import codec, engine, model, oracle
 from perisched.engine import GaConfig, Termination
-from perisched.errors import ConfigInvalid, LengthMismatch
+from perisched.errors import ConfigInvalid, EvaluatorMismatch
 from perisched.model import Train, Trip
 
-from conftest import make_instance, micro_three_trains, micro_unsat_connection
+from conftest import MICRO_BUILDERS, make_instance, micro_three_trains, micro_unsat_connection
 
 
 def tiny_config(**kw):
@@ -38,112 +38,150 @@ class TestConfig:
 
 
 class TestSelectParent:
+    """Parent selection: the batch tournament `_tournament_winners`."""
+
     def test_tournament_covering_population_returns_best(self):
-        pop = [codec.Genotype((k,)) for k in range(6)]
-        fitness = [9, 3, 7, 1, 8, 2]
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            winner = engine.select_parent(pop, fitness, rng, tournament_size=60)
-            assert winner == pop[3]
+        fitness = np.array([9, 3, 7, 1, 8, 2])
+        winners = engine._tournament_winners(fitness, 25, 60, np.random.default_rng(0))
+        assert np.all(winners == 3)
 
     def test_size_one_is_uniform_pick(self):
-        pop = [codec.Genotype((k,)) for k in range(4)]
-        fitness = [5, 5, 5, 5]
-        rng = np.random.default_rng(1)
-        seen = {engine.select_parent(pop, fitness, rng, 1).genes for _ in range(200)}
-        assert len(seen) == 4
+        fitness = np.array([5, 5, 5, 5])
+        winners = engine._tournament_winners(fitness, 200, 1, np.random.default_rng(1))
+        assert set(winners.tolist()) == {0, 1, 2, 3}
 
     def test_selection_frequency_matches_analytic_probability(self):
         # fitness [0, 10, 10], size 2 with replacement: the best individual
         # wins unless both draws avoid index 0: 1 - (2/3)^2 = 5/9
-        pop = [codec.Genotype((k,)) for k in range(3)]
-        fitness = [0, 10, 10]
-        rng = np.random.default_rng(2)
+        fitness = np.array([0, 10, 10])
         n = 20000
-        hits = sum(
-            engine.select_parent(pop, fitness, rng, 2) == pop[0] for _ in range(n)
-        )
-        assert abs(hits / n - 5 / 9) < 0.02
+        winners = engine._tournament_winners(fitness, n, 2, np.random.default_rng(2))
+        assert abs(np.mean(winners == 0) - 5 / 9) < 0.02
 
     def test_ties_break_to_lower_contestant_index(self):
         # all fitnesses equal: the winner is the lowest drawn index, so
         # index 0 wins exactly when either of the two draws hits it (3/4)
-        pop = [codec.Genotype((k,)) for k in range(2)]
-        rng = np.random.default_rng(3)
         n = 20000
-        hits = sum(engine.select_parent(pop, [4, 4], rng, 2) == pop[0] for _ in range(n))
-        assert abs(hits / n - 3 / 4) < 0.02
+        winners = engine._tournament_winners(np.array([4, 4]), n, 2, np.random.default_rng(3))
+        assert abs(np.mean(winners == 0) - 3 / 4) < 0.02
+
+
+def step_offspring(instance, population, seed=0, **knobs):
+    """Offspring of one `step_generation` from `population`, no elites.
+    Row i and row n/2 + i are siblings: children of the same two parents."""
+    config = GaConfig(
+        population_size=len(population),
+        max_evaluations=10 * len(population),
+        elite_count=0,
+        seed=seed,
+        **knobs,
+    )
+    state = engine.init_state(instance, model.derive_bounds(instance), config)
+    state.population = population.copy()
+    state.fitness = state.problem.fitness_batch(state.population)
+    engine.step_generation(state)
+    return state.population
+
+
+def lo_hi_population(problem, size):
+    """Alternating rows at every gene's lower and upper bound."""
+    return np.stack([problem.gene_lo, problem.gene_hi] * (size // 2))
 
 
 class TestCrossover:
-    def test_identical_parents_clone(self):
-        g = codec.Genotype((1, 2, 3, 4))
-        a, b = engine.crossover(g, g, np.random.default_rng(0), rate=1.0)
-        assert a == g and b == g
+    """One-point crossover inside `step_generation`, mutation off."""
 
-    def test_cut_mixes_prefix_and_suffix(self):
-        a = codec.Genotype((0, 0, 0, 0))
-        b = codec.Genotype((1, 1, 1, 1))
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            c1, c2 = engine.crossover(a, b, rng, rate=1.0)
-            ones = sum(c1.genes)
-            # a real cut in [1, len-1] never clones either parent
-            assert 1 <= ones <= 3
-            assert [x + y for x, y in zip(c1.genes, c2.genes)] == [1, 1, 1, 1]
+    def test_identical_parents_clone(self, cs1):
+        problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        row = problem.random_population(1, np.random.default_rng(0))
+        offspring = step_offspring(
+            cs1, np.repeat(row, 20, axis=0), crossover_rate=1.0, mutation_rate_per_gene=0.0
+        )
+        assert np.array_equal(offspring, np.repeat(row, 20, axis=0))
 
-    def test_rate_zero_never_crosses(self):
-        a = codec.Genotype((0, 0, 0))
-        b = codec.Genotype((1, 1, 1))
-        rng = np.random.default_rng(2)
-        assert engine.crossover(a, b, rng, rate=0.0) == (a, b)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            engine.crossover(
-                codec.Genotype((1, 2)), codec.Genotype((1, 2, 3)), np.random.default_rng(0)
+    def test_cut_mixes_prefix_and_suffix(self, cs1):
+        problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        lo, hi = problem.gene_lo, problem.gene_hi
+        assert np.all(lo < hi)  # every column tells the two parents apart
+        L, pairs, crossed = problem.length, 20, 0
+        for seed in range(5):
+            offspring = step_offspring(
+                cs1, lo_hi_population(problem, 2 * pairs), seed,
+                crossover_rate=1.0, mutation_rate_per_gene=0.0,
             )
+            for a, b in zip(offspring[:pairs], offspring[pairs:]):
+                if np.array_equal(a, b):
+                    assert np.array_equal(a, lo) or np.array_equal(a, hi)
+                    continue  # both parents were the same row
+                crossed += 1
+                assert np.array_equal(a + b, lo + hi)  # complementary children
+                from_lo = a == lo
+                cut = int(np.argmax(from_lo != from_lo[0]))
+                # a real cut in [1, L-1]: one switch, never a clone
+                assert 1 <= cut <= L - 1
+                assert np.all(from_lo[:cut] == from_lo[0])
+                assert np.all(from_lo[cut:] != from_lo[0])
+        assert crossed > 0
+
+    def test_rate_zero_never_crosses(self, cs1):
+        problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        offspring = step_offspring(
+            cs1, lo_hi_population(problem, 40), crossover_rate=0.0, mutation_rate_per_gene=0.0
+        )
+        for row in offspring:
+            assert np.array_equal(row, problem.gene_lo) or np.array_equal(row, problem.gene_hi)
 
     def test_offspring_stay_in_bounds(self, cs1):
-        bounds = codec.gene_bounds(cs1)
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a = codec.random_genotype(bounds, rng)
-            b = codec.random_genotype(bounds, rng)
-            c1, c2 = engine.crossover(a, b, rng, rate=1.0)
-            assert bounds.contains(c1) and bounds.contains(c2)
+        constraints = model.derive_bounds(cs1)
+        config = GaConfig(population_size=100, max_evaluations=10_000, crossover_rate=1.0, seed=3)
+        state = engine.init_state(cs1, constraints, config)
+        for _ in range(20):
+            engine.step_generation(state)
+            assert np.all(state.population >= state.problem.gene_lo)
+            assert np.all(state.population <= state.problem.gene_hi)
 
 
 class TestMutate:
+    """Per-gene mutation inside `step_generation`, crossover off."""
+
     def test_rate_zero_is_identity(self, cs1):
-        bounds = codec.gene_bounds(cs1)
-        rng = np.random.default_rng(0)
-        g = codec.random_genotype(bounds, rng)
-        assert engine.mutate(g, bounds, rng, rate=0.0) == g
+        problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        population = problem.random_population(30, np.random.default_rng(0))
+        offspring = step_offspring(cs1, population, crossover_rate=0.0, mutation_rate_per_gene=0.0)
+        parents = {tuple(row) for row in population.tolist()}
+        assert all(tuple(row) in parents for row in offspring.tolist())
 
     def test_degenerate_bounds_identity_at_full_rate(self):
-        bounds = codec.GeneBounds((3, 8), (3, 8))
-        g = codec.Genotype((3, 8))
-        assert engine.mutate(g, bounds, np.random.default_rng(1), rate=1.0) == g
+        inst = micro_unsat_connection()  # both running windows are [3, 3]
+        problem = engine.CompiledProblem(inst, model.derive_bounds(inst))
+        fixed = problem.gene_lo == problem.gene_hi
+        assert fixed.any() and not fixed.all()
+        population = problem.random_population(20, np.random.default_rng(1))
+        offspring = step_offspring(inst, population, crossover_rate=0.0, mutation_rate_per_gene=1.0)
+        assert np.all(offspring[:, fixed] == problem.gene_lo[fixed])
 
-    def test_full_rate_resamples_uniformly(self):
-        bounds = codec.GeneBounds((0,), (9,))
-        rng = np.random.default_rng(2)
-        counts = np.zeros(10, dtype=int)
-        n = 10000
-        g = codec.Genotype((0,))
-        for _ in range(n):
-            counts[engine.mutate(g, bounds, rng, rate=1.0).genes[0]] += 1
-        assert counts.min() > n / 10 * 0.8
-        assert counts.max() < n / 10 * 1.2
+    def test_full_rate_resamples_uniformly(self, cs1):
+        problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        population = np.repeat(problem.gene_lo[None, :], 4000, axis=0)
+        offspring = step_offspring(
+            cs1, population, seed=2, crossover_rate=0.0, mutation_rate_per_gene=1.0
+        )
+        first = offspring[:, problem.gene_hi == cs1.period - 1]  # first departures
+        counts = np.bincount(first.ravel(), minlength=cs1.period)
+        expected = first.size / cs1.period
+        assert counts.min() > expected * 0.8
+        assert counts.max() < expected * 1.2
 
     def test_stays_in_bounds(self, cs1):
-        bounds = codec.gene_bounds(cs1)
-        rng = np.random.default_rng(3)
-        g = codec.random_genotype(bounds, rng)
-        for _ in range(200):
-            g = engine.mutate(g, bounds, rng, rate=0.3)
-            assert bounds.contains(g)
+        constraints = model.derive_bounds(cs1)
+        config = GaConfig(
+            population_size=60, max_evaluations=10_000, mutation_rate_per_gene=0.3, seed=3
+        )
+        state = engine.init_state(cs1, constraints, config)
+        for _ in range(20):
+            engine.step_generation(state)
+            assert np.all(state.population >= state.problem.gene_lo)
+            assert np.all(state.population <= state.problem.gene_hi)
 
 
 class TestCompiledProblem:
@@ -161,16 +199,24 @@ class TestCompiledProblem:
         with pytest.raises(MissingEvent):
             engine.CompiledProblem(micro_instance, [alien])
 
-    def test_batch_decode_matches_scalar_decode(self, micro_instance):
-        constraints = model.derive_bounds(micro_instance)
-        problem = engine.CompiledProblem(micro_instance, constraints)
-        rng = np.random.default_rng(5)
-        genes = problem.random_population(40, rng)
+    @pytest.mark.parametrize("name", sorted(MICRO_BUILDERS) + ["cs1", "cs2"])
+    def test_batch_decode_inverts_genes(self, name, request):
+        # read the genes back off the decoded times, modulo the period:
+        # this holds whether or not a section wraps past the period
+        inst = request.getfixturevalue(name) if name in ("cs1", "cs2") else MICRO_BUILDERS[name]()
+        problem = engine.CompiledProblem(inst, model.derive_bounds(inst))
+        T = inst.period
+        genes = problem.random_population(200, np.random.default_rng(5))
         events = problem.decode_batch(genes)
-        order = model.instance_events(micro_instance)
-        for row in range(40):
-            tt = codec.decode(codec.Genotype(tuple(int(v) for v in genes[row])), micro_instance)
-            assert [tt.of(e) for e in order] == list(events[row])
+        assert events.shape == genes.shape
+        assert np.all((events >= 0) & (events < T))
+        first = np.zeros(problem.length, dtype=bool)
+        first[inst.event_index.section_offsets] = True
+        assert np.array_equal(events[:, first], genes[:, first] % T)
+        steps = (events[:, 1:] - events[:, :-1]) % T
+        assert np.array_equal(steps[:, ~first[1:]], genes[:, 1:][:, ~first[1:]] % T)
+        wrapped = (events[:, 1:] < events[:, :-1])[:, ~first[1:]]
+        assert wrapped.any()
 
     def test_batch_fitness_matches_scalar_evaluate(self, micro_instance):
         constraints = model.derive_bounds(micro_instance)
@@ -196,6 +242,18 @@ class TestCompiledProblem:
 
 
 class TestRun:
+    def test_evaluator_disagreement_raises_named_error(self):
+        # the batch path trusts the encoding for running windows; a
+        # constraint set whose running window the genes cannot meet makes
+        # the scalar re-check count a violation the batch did not
+        inst = micro_three_trains()
+        constraints = model.derive_bounds(inst)
+        running = next(c for c in constraints if c.kind is model.ConstraintKind.RUNNING)
+        unreachable = dataclasses.replace(running, lo=running.hi + 2, hi=running.hi + 3)
+        constraints = [unreachable if c is running else c for c in constraints]
+        with pytest.raises(EvaluatorMismatch, match="running"):
+            engine.run(inst, constraints, tiny_config())
+
     def test_unconstrained_instance_terminates_immediately(self):
         inst = make_instance(60, [Train("t", 3, (Trip("A", "B", 10, 12),))])
         result = engine.run(inst, model.derive_bounds(inst), tiny_config())

@@ -83,7 +83,7 @@ class TestCheckIndependent:
     def test_agrees_on_all_zero_timetable(self, micro_instance):
         tt = Timetable(
             micro_instance.period,
-            {e: 0 for e in model.instance_events(micro_instance)},
+            {e: 0 for e in micro_instance.event_index.events},
         )
         ours = model.evaluate(
             tt, model.derive_bounds(micro_instance), micro_instance.weights
@@ -98,7 +98,7 @@ class TestCheckIndependent:
     def test_single_minute_perturbations_flip_identically(self, micro_instance):
         constraints = model.derive_bounds(micro_instance)
         rng = np.random.default_rng(23)
-        events = model.instance_events(micro_instance)
+        events = micro_instance.event_index.events
         for _ in range(60):
             tt = model.random_timetable(micro_instance, rng)
             event = events[rng.integers(len(events))]

@@ -1,0 +1,120 @@
+"""Properties over randomly generated small valid instances."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perisched import codec, engine, model, oracle
+from perisched.model import (
+    ConnectionSpec,
+    ConstraintKind,
+    Instance,
+    Segment,
+    Train,
+    Trip,
+    WeightConfig,
+)
+
+STATIONS = "ABCDEF"
+
+weight = st.one_of(
+    st.integers(0, 1000),
+    st.integers(0, 10_000).map(lambda k: k / 10),
+    st.floats(0, 1000, allow_nan=False, allow_infinity=False),
+)
+margin = st.one_of(st.integers(1, 1000), st.floats(0.1, 1000))
+
+
+@st.composite
+def weight_configs(draw):
+    connection = draw(weight)
+    return WeightConfig(
+        running=draw(weight),
+        dwell=draw(weight),
+        headway=connection + draw(margin),
+        single_track=connection + draw(margin),
+        connection=connection,
+    )
+
+
+@st.composite
+def train_on(draw, train_id, path):
+    trips = []
+    for k, (a, b) in enumerate(zip(path, path[1:])):
+        run_lo = draw(st.integers(1, 6))
+        run_hi = run_lo + draw(st.integers(0, 3))
+        if k < len(path) - 2:
+            dwell_lo = draw(st.integers(0, 3))
+            trips.append(Trip(a, b, run_lo, run_hi, dwell_lo, dwell_lo + draw(st.integers(0, 2))))
+        else:
+            trips.append(Trip(a, b, run_lo, run_hi))
+    return Train(train_id, draw(st.integers(1, 3)), tuple(trips))
+
+
+@st.composite
+def instances(draw):
+    """A valid instance with headway, single-track and connection pairs:
+    train b shares train a's first trip, train c runs it backwards over a
+    single track, and a transfer links a to c where a arrives and c starts."""
+    period = draw(st.integers(20, 40))
+    a_path = draw(st.permutations(STATIONS))[: draw(st.integers(3, 5))]
+    rest = [s for s in STATIONS if s not in a_path[:2]]
+    b_path = a_path[:2] + draw(st.permutations(rest))[: draw(st.integers(0, 2))]
+    c_path = [a_path[1], a_path[0]] + draw(st.permutations(rest))[: draw(st.integers(0, 2))]
+    paths = {"a": a_path, "b": b_path, "c": c_path}
+    if draw(st.booleans()):
+        paths["d"] = draw(st.permutations(STATIONS))[: draw(st.integers(2, 4))]
+    trains = tuple(draw(train_on(train_id, path)) for train_id, path in paths.items())
+
+    single = {tuple(sorted(a_path[:2]))}
+    pairs = sorted({tuple(sorted(p)) for path in paths.values() for p in zip(path, path[1:])})
+    segments = tuple(
+        Segment(x, y, (x, y) in single or draw(st.booleans())) for x, y in pairs
+    )
+
+    candidates = [
+        (feeder.id, onward.id, trip.to_station)
+        for feeder in trains
+        for trip in feeder.route
+        for onward in trains
+        if onward.id != feeder.id
+        and trip.to_station in (t.from_station for t in onward.route)
+    ]
+    picked = {("a", "c", a_path[1])} | set(
+        draw(st.lists(st.sampled_from(candidates), max_size=3))
+    )
+    connections = []
+    for feeder, onward, station in sorted(picked):
+        lo = draw(st.integers(0, period - 1))
+        connections.append(
+            ConnectionSpec(feeder, onward, station, lo, lo + draw(st.integers(0, period - 2)))
+        )
+
+    instance = Instance(
+        period=period,
+        stations=tuple(STATIONS),
+        segments=segments,
+        trains=trains,
+        connections=tuple(connections),
+        weights=draw(weight_configs()),
+    )
+    model.validate_instance(instance)
+    return instance
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_batch_fitness_is_the_scalar_fitness(instance, seed):
+    constraints = model.derive_bounds(instance)
+    assert {c.kind for c in constraints} == set(ConstraintKind)
+    problem = engine.CompiledProblem(instance, constraints)
+    genes = problem.random_population(8, np.random.default_rng(seed))
+    fitness = problem.fitness_batch(genes)
+    counts = problem.violation_counts(genes)
+    for row in range(len(genes)):
+        tt = codec.decode(codec.Genotype(tuple(int(g) for g in genes[row])), instance)
+        report = model.evaluate(tt, constraints, instance.weights)
+        assert fitness[row] == report.weighted_fitness
+        batch_counts = {kind: int(n[row]) for kind, n in counts.items()}
+        assert batch_counts == report.violations_by_type
+        assert batch_counts == oracle.check_independent(tt, instance).violations_by_type
