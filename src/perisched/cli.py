@@ -74,7 +74,11 @@ class DetailRow:
 
 @dataclass(frozen=True)
 class AggregateRow:
+    """Summary of one cell: an evaluation limit, and a population size
+    unless the populations were pooled (``pop`` is then None)."""
+
     max_evals: int
+    pop: int | None
     avg_hard: float
     avg_soft: float
     pct_feasible: float
@@ -122,7 +126,7 @@ def run_experiment(
         return list(pool.map(_run_cell_task, tasks, chunksize=1))
 
 
-def aggregate(rows: list[DetailRow], by_pop: bool = False):
+def aggregate(rows: list[DetailRow], by_pop: bool = False) -> list[AggregateRow]:
     """Mean violations, feasibility percentages and mean time, pooled per
     evaluation limit (or per (limit, population) with by_pop)."""
     keys = sorted({(r.max_evals, r.pop if by_pop else None) for r in rows})
@@ -134,35 +138,29 @@ def aggregate(rows: list[DetailRow], by_pop: bool = False):
             if r.max_evals == limit and (not by_pop or r.pop == pop)
         ]
         n = len(cell)
-        row = AggregateRow(
-            max_evals=limit,
-            avg_hard=sum(r.hard_violations for r in cell) / n,
-            avg_soft=sum(r.soft_violations for r in cell) / n,
-            pct_feasible=100.0 * sum(r.hard_violations == 0 for r in cell) / n,
-            pct_feasible_conn=100.0
-            * sum(r.hard_violations == 0 and r.soft_violations == 0 for r in cell)
-            / n,
-            avg_time_s=sum(r.time_s for r in cell) / n,
+        out.append(
+            AggregateRow(
+                max_evals=limit,
+                pop=pop,
+                avg_hard=sum(r.hard_violations for r in cell) / n,
+                avg_soft=sum(r.soft_violations for r in cell) / n,
+                pct_feasible=100.0 * sum(r.hard_violations == 0 for r in cell) / n,
+                pct_feasible_conn=100.0
+                * sum(r.hard_violations == 0 and r.soft_violations == 0 for r in cell)
+                / n,
+                avg_time_s=sum(r.time_s for r in cell) / n,
+            )
         )
-        out.append((pop, row) if by_pop else row)
     return out
 
 
-def aggregate_csv(rows: list[DetailRow]) -> str:
-    lines = [AGGREGATE_HEADER]
-    for row in aggregate(rows):
+def aggregate_csv(rows: list[DetailRow], by_pop: bool = False) -> str:
+    """`aggregate` as CSV; the pop column appears only with by_pop."""
+    lines = [PER_SIZE_HEADER if by_pop else AGGREGATE_HEADER]
+    for row in aggregate(rows, by_pop):
+        pop = f"{row.pop}," if by_pop else ""
         lines.append(
-            f"{row.max_evals},{row.avg_hard:.4f},{row.avg_soft:.4f},"
-            f"{row.pct_feasible:.2f},{row.pct_feasible_conn:.2f},{row.avg_time_s:.3f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def per_size_csv(rows: list[DetailRow]) -> str:
-    lines = [PER_SIZE_HEADER]
-    for pop, row in aggregate(rows, by_pop=True):
-        lines.append(
-            f"{row.max_evals},{pop},{row.avg_hard:.4f},{row.avg_soft:.4f},"
+            f"{row.max_evals},{pop}{row.avg_hard:.4f},{row.avg_soft:.4f},"
             f"{row.pct_feasible:.2f},{row.pct_feasible_conn:.2f},{row.avg_time_s:.3f}"
         )
     return "\n".join(lines) + "\n"
@@ -362,7 +360,7 @@ def _cmd_experiment(args) -> int:
         workers=args.workers,
     )
     rows = run_experiment(instance, spec)
-    output = per_size_csv(rows) if args.per_size else aggregate_csv(rows)
+    output = aggregate_csv(rows, args.per_size)
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")
     else:

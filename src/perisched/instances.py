@@ -116,6 +116,12 @@ def _a_str(value, where: str) -> str:
     return value
 
 
+def _a_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where} must be a boolean, got {value!r}")
+    return value
+
+
 def _a_list(value, where: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{where} must be a list")
@@ -161,14 +167,11 @@ def _instance_from_document(doc) -> Instance:
         if not isinstance(seg, dict):
             raise ValidationError(f"{where} must be an object")
         _reject_unknown(seg, {"from", "to", "single_track"}, where)
-        single = seg.get("single_track", False)
-        if not isinstance(single, bool):
-            raise ValidationError(f"{where} single_track must be a boolean")
         segments.append(
             Segment(
                 _a_str(_want(seg, "from", where), f"{where} from"),
                 _a_str(_want(seg, "to", where), f"{where} to"),
-                single,
+                _a_bool(seg.get("single_track", False), f"{where} single_track"),
             )
         )
 
@@ -233,7 +236,7 @@ def _instance_from_document(doc) -> Instance:
         _reject_unknown(mobj, {"name", "synthetic", "notes"}, "metadata")
         meta = InstanceMeta(
             name=_a_str(mobj.get("name", ""), "metadata name"),
-            synthetic=bool(mobj.get("synthetic", False)),
+            synthetic=_a_bool(mobj.get("synthetic", False), "metadata synthetic"),
             notes=_a_str(mobj.get("notes", ""), "metadata notes"),
         )
 
@@ -424,10 +427,6 @@ def bundled_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 # shared construction helpers
 
-def _mid(lo: int, hi: int) -> int:
-    return lo + (hi - lo) // 2
-
-
 def _line_trains(
     line_id: str,
     stations: list[str],
@@ -458,14 +457,11 @@ def _line_trains(
 def _nominal_genotype(instance: Instance, phases: dict[str, int]) -> codec.Genotype:
     """Each train departs at its phase, every running and dwell gene sits
     at the middle of its window."""
-    genes: list[int] = []
-    for train in instance.trains:
-        genes.append(phases[train.id])
-        last = len(train.route) - 1
-        for k, trip in enumerate(train.route):
-            genes.append(_mid(trip.running_lo, trip.running_hi))
-            if k < last:
-                genes.append(_mid(trip.dwell_after_lo, trip.dwell_after_hi))
+    bounds = codec.gene_bounds(instance)
+    genes = [lo + (hi - lo) // 2 for lo, hi in zip(bounds.lo, bounds.hi)]
+    offsets = instance.event_index.section_offsets.tolist()
+    for train, col in zip(instance.trains, offsets):
+        genes[col] = phases[train.id]
     return codec.Genotype(tuple(genes))
 
 
@@ -830,18 +826,15 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
     )
     model.validate_instance(instance)
 
+    constraints = model.derive_bounds(instance)
     census: dict[ConstraintKind, int] = {k: 0 for k in ConstraintKind}
-    for c in model.derive_bounds(instance):
+    for c in constraints:
         census[c.kind] += 1
     if census != _CS2_TARGET:
         return None
 
     # the reference pattern must satisfy everything, including connections
-    report = model.evaluate(
-        _nominal_timetable(instance, phases),
-        model.derive_bounds(instance),
-        instance.weights,
-    )
+    report = model.evaluate(reference, constraints, instance.weights)
     if report.weighted_fitness != 0:
         return None
     return instance

@@ -412,7 +412,11 @@ def _normalized_window(lo: int, hi: int, period: int) -> tuple[int, int]:
 
 
 def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
-    """Build the full constraint set of an instance.
+    """Build the full constraint set of a validated instance.
+
+    The instance must have passed `validate_instance` (`instances.load`,
+    `loads`, `build_cs1` and `generate_cs2_like` all validate): dangling
+    references and missing dwell windows are not checked again here.
 
     Families, in output order:
 
@@ -432,14 +436,28 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     * connection: one per connection spec, between feeder arrival and
       onward departure.
 
-    Ordering within a family is by train id (pairs by (i, j)), then route
-    position, so the output depends only on the instance content. Windows
+    Ordering within a family is by key: running and dwell by (train id,
+    route position); headway and single_track by (id of i, id of j, route
+    position of i's event); connection by (feeder, onward, station). The
+    output thus depends only on the instance content. Windows
     at least a full period wide are dropped with a warning; an inverted
     window raises BoundInversion.
     """
     T = instance.period
     trains = sorted(instance.trains, key=lambda t: t.id)
-    by_id = {t.id: t for t in instance.trains}
+    # a validated train departs each station once, so it runs each
+    # directed leg at most once: one lookup finds a pair's shared leg
+    legs = {
+        t.id: {(trip.from_station, trip.to_station): trip for trip in t.route}
+        for t in trains
+    }
+    single = {
+        leg
+        for seg in instance.segments
+        if seg.single_track
+        for leg in (seg.pair(), seg.pair()[::-1])
+    }
+    pairs = [(ti, tj) for ti in trains for tj in trains if ti is not tj]
 
     out: list[PeriodicConstraint] = []
 
@@ -471,11 +489,6 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
 
     for train in trains:
         for trip in train.route[:-1]:
-            if trip.dwell_after_lo is None:
-                raise MalformedInstance(
-                    f"train {train.id}: intermediate stop at {trip.to_station} "
-                    f"lacks a dwell window"
-                )
             emit(
                 ConstraintKind.DWELL,
                 Event.arrival(train.id, trip.to_station),
@@ -484,69 +497,36 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
                 trip.dwell_after_hi,
             )
 
-    for ti in trains:
-        for tj in trains:
-            if ti.id == tj.id:
-                continue
-            for trip_i in ti.route:
-                for trip_j in tj.route:
-                    if (
-                        trip_i.from_station == trip_j.from_station
-                        and trip_i.to_station == trip_j.to_station
-                    ):
-                        emit(
-                            ConstraintKind.HEADWAY,
-                            Event.departure(tj.id, trip_j.from_station),
-                            Event.departure(ti.id, trip_i.from_station),
-                            abs(trip_i.running_lo - trip_j.running_lo)
-                            + ti.basic_headway,
-                            T - tj.basic_headway,
-                        )
+    for ti, tj in pairs:
+        legs_j = legs[tj.id]
+        for leg, trip_i in legs[ti.id].items():
+            trip_j = legs_j.get(leg)
+            if trip_j is not None:
+                emit(
+                    ConstraintKind.HEADWAY,
+                    Event.departure(tj.id, leg[0]),
+                    Event.departure(ti.id, leg[0]),
+                    abs(trip_i.running_lo - trip_j.running_lo) + ti.basic_headway,
+                    T - tj.basic_headway,
+                )
 
-    single = {
-        seg.pair() for seg in instance.segments if seg.single_track
-    }
-    if single:
-        for ti in trains:
-            for tj in trains:
-                if ti.id == tj.id:
-                    continue
-                for trip_i in ti.route:
-                    if Segment(trip_i.from_station, trip_i.to_station).pair() not in single:
-                        continue
-                    for trip_j in tj.route:
-                        if (
-                            trip_j.from_station == trip_i.to_station
-                            and trip_j.to_station == trip_i.from_station
-                        ):
-                            emit(
-                                ConstraintKind.SINGLE_TRACK,
-                                Event.arrival(tj.id, trip_i.from_station),
-                                Event.departure(ti.id, trip_i.from_station),
-                                2 * min(trip_i.running_lo, trip_j.running_lo)
-                                + ti.basic_headway,
-                                T - tj.basic_headway,
-                            )
+    for ti, tj in pairs:
+        legs_j = legs[tj.id]
+        for leg, trip_i in legs[ti.id].items():
+            trip_j = legs_j.get(leg[::-1]) if leg in single else None
+            if trip_j is not None:
+                emit(
+                    ConstraintKind.SINGLE_TRACK,
+                    Event.arrival(tj.id, leg[0]),
+                    Event.departure(ti.id, leg[0]),
+                    2 * min(trip_i.running_lo, trip_j.running_lo) + ti.basic_headway,
+                    T - tj.basic_headway,
+                )
 
     for conn in sorted(
         instance.connections,
         key=lambda c: (c.feeder_train, c.onward_train, c.station),
     ):
-        feeder = by_id.get(conn.feeder_train)
-        onward = by_id.get(conn.onward_train)
-        if feeder is None or onward is None:
-            raise MalformedInstance(
-                f"connection references unknown train "
-                f"{conn.feeder_train if feeder is None else conn.onward_train!r}"
-            )
-        if conn.station not in (t.to_station for t in feeder.route):
-            raise MalformedInstance(
-                f"connection at {conn.station}: feeder {feeder.id} never arrives there"
-            )
-        if conn.station not in (t.from_station for t in onward.route):
-            raise MalformedInstance(
-                f"connection at {conn.station}: train {onward.id} never departs there"
-            )
         emit(
             ConstraintKind.CONNECTION,
             Event.arrival(conn.feeder_train, conn.station),

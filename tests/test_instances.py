@@ -128,6 +128,13 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="running"):
             instances.loads(text)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_non_boolean_synthetic_flag_rejected(self, cs1, value):
+        doc = json.loads(instances.dumps(cs1))
+        doc["metadata"]["synthetic"] = value
+        with pytest.raises(ValidationError, match="metadata synthetic must be a boolean"):
+            instances.loads(json.dumps(doc))
+
 
 class TestTimetableFiles:
     def test_round_trip(self, cs1, tmp_path):

@@ -270,14 +270,6 @@ class TestDeriveBounds:
         with pytest.raises(BoundInversion):
             model.derive_bounds(inst)
 
-    def test_missing_connection_target_is_malformed(self):
-        train = Train("t", 2, (Trip("A", "B", 5, 6),))
-        inst = make_instance(
-            60, [train], connections=[ConnectionSpec("t", "ghost", "B", 0, 5)]
-        )
-        with pytest.raises(MalformedInstance):
-            model.derive_bounds(inst)
-
     def test_deterministic_content_and_ordering(self, cs1):
         first = model.derive_bounds(cs1)
         second = model.derive_bounds(cs1)
@@ -344,6 +336,14 @@ class TestValidation:
             60, trains, connections=[ConnectionSpec("f", "g", "C", 0, 5)]
         )
         with pytest.raises(MalformedInstance, match="never arrives"):
+            model.validate_instance(inst)
+
+    def test_missing_connection_target_is_malformed(self):
+        train = Train("t", 2, (Trip("A", "B", 5, 6),))
+        inst = make_instance(
+            60, [train], connections=[ConnectionSpec("t", "ghost", "B", 0, 5)]
+        )
+        with pytest.raises(MalformedInstance, match="'ghost'"):
             model.validate_instance(inst)
 
     def test_station_visited_twice_in_same_role(self):

@@ -1,5 +1,8 @@
 """Properties over randomly generated small valid instances."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,3 +121,35 @@ def test_batch_fitness_is_the_scalar_fitness(instance, seed):
         batch_counts = {kind: int(n[row]) for kind, n in counts.items()}
         assert batch_counts == report.violations_by_type
         assert batch_counts == oracle.check_independent(tt, instance).violations_by_type
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_derivation_holds_the_independent_checklist(instance):
+    assert Counter(model.derive_bounds(instance)) == Counter(oracle._checklist(instance))
+
+
+def _documented_key(c: model.PeriodicConstraint, column: dict) -> tuple:
+    """The key `derive_bounds` documents for each family, preceded by the
+    family's place in `ConstraintKind` order."""
+    family = list(ConstraintKind).index(c.kind)
+    if c.kind in (ConstraintKind.RUNNING, ConstraintKind.DWELL):
+        return (family, c.later.train, column[c.later])
+    if c.kind is ConstraintKind.CONNECTION:
+        return (family, c.earlier.train, c.later.train, c.later.station)
+    return (family, c.later.train, c.earlier.train, column[c.later])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(instances(), st.randoms(use_true_random=False))
+def test_derivation_is_ordered_by_documented_keys(instance, rnd):
+    # the order must not depend on how the instance lists its parts
+    trains, connections = list(instance.trains), list(instance.connections)
+    rnd.shuffle(trains)
+    rnd.shuffle(connections)
+    instance = dataclasses.replace(
+        instance, trains=tuple(trains), connections=tuple(connections)
+    )
+    column = instance.event_index.column
+    keys = [_documented_key(c, column) for c in model.derive_bounds(instance)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
