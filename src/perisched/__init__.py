@@ -40,7 +40,6 @@ from .model import (
     Violation,
     WeightConfig,
     derive_bounds,
-    eval_constraint,
     evaluate,
     expand_periods,
     shift_timetable,
@@ -85,7 +84,6 @@ __all__ = [
     "check_independent",
     "decode",
     "derive_bounds",
-    "eval_constraint",
     "evaluate",
     "exhaustive_min",
     "expand_periods",

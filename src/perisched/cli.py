@@ -334,10 +334,7 @@ def _cmd_solve(args) -> int:
     print(f"violations: {counts}")
     print(f"weighted fitness: {report.weighted_fitness}")
     for violation in report.violated:
-        print(
-            f"  violated {violation.constraint.describe()} "
-            f"(gap {violation.diff}, wraps {violation.q})"
-        )
+        print(f"  violated {violation.constraint.describe()} (gap {violation.diff})")
 
     if args.timetable_out:
         instances.save_timetable(decoded, args.timetable_out)

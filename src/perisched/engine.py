@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import codec, model
+from . import codec, model, oracle
 from .errors import ConfigInvalid, EvaluatorMismatch, MissingEvent
 
 
@@ -132,8 +132,8 @@ class CompiledProblem:
     def violation_counts(self, genes: np.ndarray) -> dict[model.ConstraintKind, np.ndarray]:
         """Violated constraints of each family, per individual."""
         events = self.decode_batch(genes)
-        d = (events[:, self.pair_y] - events[:, self.pair_x]) % self.period
-        violated = ((d - self.pair_lo) % self.period) > self.pair_width
+        raw = events[:, self.pair_y] - events[:, self.pair_x]
+        violated = model.window_test(raw, self.pair_lo, self.pair_width, self.period)
         return {
             kind: np.count_nonzero(violated[:, cols], axis=1)
             for kind, cols in self.family_slice.items()
@@ -274,12 +274,12 @@ def run(
 ) -> RunResult:
     """One full GA run, deterministic for a given seed.
 
-    Stops as soon as some evaluated individual violates nothing
-    (``OPTIMUM_FOUND``) or the evaluation counter reaches the budget
-    (``EVAL_LIMIT``). The reported best is re-checked against the scalar
-    evaluator over the complete constraint set; if the two count a
-    different number of violations in any family, the batched evaluation
-    diverged and `EvaluatorMismatch` is raised.
+    ``constraints`` must be ``model.derive_bounds(instance)``. Stops as
+    soon as some evaluated individual violates nothing (``OPTIMUM_FOUND``)
+    or the evaluation counter reaches the budget (``EVAL_LIMIT``). The
+    best's `model.evaluate` report is re-checked against
+    `oracle.check_independent`; if their per-family counts differ,
+    `EvaluatorMismatch` is raised.
     """
     start = time.perf_counter()
     state = init_state(instance, constraints, config)
@@ -289,12 +289,11 @@ def run(
     best_genotype = codec.Genotype(tuple(int(g) for g in state.best_genes))
     timetable = codec.decode(best_genotype, instance)
     report = model.evaluate(timetable, constraints, instance.weights)
-    batch = state.problem.violation_counts(state.best_genes[None, :])
-    batch_counts = {kind: int(count[0]) for kind, count in batch.items()}
-    if batch_counts != report.violations_by_type:
+    independent = oracle.check_independent(timetable, instance).violations_by_type
+    if independent != report.violations_by_type:
         raise EvaluatorMismatch(
-            f"batched violation counts {_by_name(batch_counts)} disagree with "
-            f"canonical evaluation {_by_name(report.violations_by_type)}"
+            f"violation counts {_by_name(report.violations_by_type)} disagree with "
+            f"the independent check {_by_name(independent)}"
         )
     terminated = (
         Termination.OPTIMUM_FOUND if state.best_fitness == 0 else Termination.EVAL_LIMIT

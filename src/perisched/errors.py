@@ -26,8 +26,8 @@ class OutOfBoundsGene(TimetablingError):
 
 
 class EvaluatorMismatch(TimetablingError):
-    """The batched and scalar evaluators count different violations for
-    the same individual."""
+    """`model.evaluate` and the independent wrap-trial check
+    `oracle.check_independent` count different violations in a timetable."""
 
 
 class ConfigInvalid(TimetablingError):

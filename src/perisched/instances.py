@@ -771,13 +771,13 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
             for train_id in movable:
                 phases[train_id] = (base[train_id] + delta) % T
             tt = _nominal_timetable(skeleton, phases)
-            if all(model.eval_constraint(c, tt, T)[0] for c in relevant):
+            if not model.evaluate(tt, relevant, skeleton.weights).violated:
                 break
         else:
             return None
 
     reference = _nominal_timetable(skeleton, phases)
-    if not all(model.eval_constraint(c, reference, T)[0] for c in pairwise):
+    if model.evaluate(reference, pairwise, skeleton.weights).violated:
         return None
 
     # pick transfer points between distinct lines

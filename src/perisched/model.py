@@ -237,8 +237,7 @@ class Timetable:
 
 class Violation(NamedTuple):
     constraint: PeriodicConstraint
-    diff: int
-    q: int
+    diff: int  # (time(later) - time(earlier)) mod period
 
 
 @dataclass(frozen=True)
@@ -538,27 +537,15 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     return out
 
 
-def eval_constraint(
-    c: PeriodicConstraint, tt: Timetable, period: int
-) -> tuple[bool, int, int]:
-    """Check one periodic constraint against a timetable.
+def window_test(raw, lo, width, period):
+    """The periodic window rule, on ints or elementwise on numpy arrays.
 
-    Returns ``(satisfied, q, diff)`` where ``diff`` is the periodic
-    difference ``(time(later) - time(earlier)) mod period`` and q records
-    whether the pair wraps the period boundary (1 when the later event's
-    canonical time precedes the earlier event's, else 0; forced to 0 when
-    unsatisfied).
-
-    The check itself is modulo arithmetic: the window ``[lo, hi]`` taken
-    mod period covers ``hi - lo + 1`` residues, so membership reduces to
-    ``(diff - lo) mod period <= hi - lo``.
+    True where the difference ``raw = time(later) - time(earlier)`` misses
+    the window ``[lo, lo + width]`` for every wrap offset. The window taken
+    mod period covers ``width + 1`` residues, so it is hit iff ``(raw - lo)
+    mod period <= width``.
     """
-    tx = tt.of(c.earlier)
-    ty = tt.of(c.later)
-    d = (ty - tx) % period
-    satisfied = (d - c.lo) % period <= c.hi - c.lo
-    q = 1 if satisfied and ty < tx else 0
-    return satisfied, q, d
+    return (raw - lo) % period > width
 
 
 def weighted_fitness(
@@ -594,10 +581,10 @@ def evaluate(
     counts = {kind: 0 for kind in ConstraintKind}
     violated: list[Violation] = []
     for c in constraints:
-        satisfied, q, d = eval_constraint(c, tt, period)
-        if not satisfied:
+        raw = tt.of(c.later) - tt.of(c.earlier)
+        if window_test(raw, c.lo, c.hi - c.lo, period):
             counts[c.kind] += 1
-            violated.append(Violation(c, d, q))
+            violated.append(Violation(c, raw % period))
     return EvaluationReport(counts, weighted_fitness(counts, weights), tuple(violated))
 
 

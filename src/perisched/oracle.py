@@ -1,11 +1,11 @@
 """Ground truth for small instances and a second opinion on evaluation.
 
-`exhaustive_min` enumerates every in-bounds genotype on a stride lattice
-and returns the true minimum fitness, for checking that the search engine
-cannot do better and rarely does worse. `check_independent` re-derives
-every constraint straight from the instance and verdicts it by trying the
-wrap offsets explicitly, sharing no arithmetic or ordering with the
-modulo-based evaluator it cross-checks.
+Nothing here uses the main evaluator: `_checklist` re-derives every
+constraint from the instance, and `_wrap_trial` tries the wrap offsets
+explicitly instead of reducing modulo the period. `exhaustive_min` scores
+a whole stride lattice of genotypes that way, to check that the search
+engine cannot do better; `check_independent` scores one timetable, and
+`engine.run` re-checks its best against it.
 
 Why trying q in {-1, 0, 1} is enough: canonical event times lie in
 [0, period), so the raw difference later - earlier lies in
@@ -16,9 +16,10 @@ period. If lo <= diff + q*period <= hi then q*period lies in
 
 from __future__ import annotations
 
-import itertools
+import math
 from functools import lru_cache
-from math import prod
+
+import numpy as np
 
 from . import codec, model
 from .errors import MalformedInstance, SpaceTooLarge
@@ -29,6 +30,8 @@ __all__ = ["exhaustive_min", "check_independent", "lattice", "lattice_size"]
 def lattice(lo: int, hi: int, stride: int) -> tuple[int, ...]:
     """Values lo, lo+stride, ... plus hi itself, so both window edges are
     always exercised."""
+    if stride < 1:
+        raise ValueError(f"lattice stride must be >= 1, got {stride}")
     vals = list(range(lo, hi + 1, stride))
     if vals[-1] != hi:
         vals.append(hi)
@@ -37,7 +40,16 @@ def lattice(lo: int, hi: int, stride: int) -> tuple[int, ...]:
 
 def lattice_size(instance: model.Instance, stride: int = 1) -> int:
     bounds = codec.gene_bounds(instance)
-    return prod(len(lattice(lo, hi, stride)) for lo, hi in zip(bounds.lo, bounds.hi))
+    return math.prod(len(lattice(lo, hi, stride)) for lo, hi in zip(bounds.lo, bounds.hi))
+
+
+def _wrap_trial(raw, lo, hi, period):
+    """Whether some q in {-1, 0, 1} puts raw + q*period in [lo, hi]; elementwise."""
+    return (
+        ((lo <= raw) & (raw <= hi))
+        | ((lo <= raw - period) & (raw - period <= hi))
+        | ((lo <= raw + period) & (raw + period <= hi))
+    )
 
 
 def exhaustive_min(
@@ -47,35 +59,38 @@ def exhaustive_min(
 ) -> tuple[int | float, codec.Genotype]:
     """Exact lattice minimum of the full weighted fitness.
 
-    Every lattice genotype is decoded and evaluated; the witness returned
-    is the lexicographically smallest minimizer (enumeration is in
-    lexicographic order and only strict improvements replace the
-    incumbent).
+    Genotypes are decoded a block at a time and scored by wrap trial over
+    `_checklist`; `model.weighted_fitness` turns the counts into fitness,
+    so the minimum compares exactly with GA fitness. The witness is the
+    lexicographically smallest minimizer: enumeration is lexicographic and
+    only strict improvements replace the best.
     """
     bounds = codec.gene_bounds(instance)
-    axes = [lattice(lo, hi, stride) for lo, hi in zip(bounds.lo, bounds.hi)]
-    size = prod(len(a) for a in axes)
+    axes = [np.asarray(lattice(lo, hi, stride)) for lo, hi in zip(bounds.lo, bounds.hi)]
+    shape = tuple(len(a) for a in axes)
+    size = math.prod(shape)
     if size > space_cap:
         raise SpaceTooLarge(size, space_cap)
 
-    constraints = model.derive_bounds(instance)
-    T = instance.period
+    checklist, x, y, lo, hi = _checks(instance)
+    family = {
+        k: [i for i, c in enumerate(checklist) if c.kind is k] for k in model.ConstraintKind
+    }
+    rows = max(1, (1 << 20) // max(len(axes), len(checklist)))  # ~2**20 entries per array
 
-    best_fitness: int | float | None = None
-    best_genes: tuple[int, ...] | None = None
-    for combo in itertools.product(*axes):
-        tt = codec.decode(codec.Genotype(combo), instance)
-        counts = {kind: 0 for kind in model.ConstraintKind}
-        for c in constraints:
-            satisfied, _, _ = model.eval_constraint(c, tt, T)
-            if not satisfied:
-                counts[c.kind] += 1
+    best_fitness, best_genes = math.inf, None
+    for start in range(0, size, rows):
+        index = np.unravel_index(np.arange(start, min(start + rows, size)), shape)
+        genes = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+        events = codec.decode_array(genes, instance)
+        bad = ~_wrap_trial(events[:, y] - events[:, x], lo, hi, instance.period)
+        counts = {k: np.count_nonzero(bad[:, cols], axis=1) for k, cols in family.items()}
         fitness = model.weighted_fitness(counts, instance.weights)
-        if best_fitness is None or fitness < best_fitness:
-            best_fitness = fitness
-            best_genes = combo
-    assert best_fitness is not None and best_genes is not None
-    return best_fitness, codec.Genotype(best_genes)
+        i = int(np.argmin(fitness))
+        if fitness[i] < best_fitness:
+            best_fitness = fitness[i].item()
+            best_genes = genes[i]
+    return best_fitness, codec.Genotype(tuple(int(g) for g in best_genes))
 
 
 def _normalize(lo: int, hi: int, period: int) -> tuple[int, int]:
@@ -87,7 +102,6 @@ def _normalize(lo: int, hi: int, period: int) -> tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=8)
 def _checklist(instance: model.Instance) -> tuple[model.PeriodicConstraint, ...]:
     """Re-derive all constraints from the raw instance data, in this
     module's own iteration order (trains as listed, trips interleaved)."""
@@ -188,32 +202,34 @@ def _checklist(instance: model.Instance) -> tuple[model.PeriodicConstraint, ...]
     return tuple(c for c in items if c.hi - c.lo < T)
 
 
+@lru_cache(maxsize=8)
+def _checks(instance: model.Instance):
+    """`_checklist` plus the event columns and windows of its constraints as
+    arrays, built once per instance."""
+    checklist = _checklist(instance)
+    column = instance.event_index.column
+    x = np.asarray([column[c.earlier] for c in checklist], dtype=np.int64)
+    y = np.asarray([column[c.later] for c in checklist], dtype=np.int64)
+    lo = np.asarray([c.lo for c in checklist], dtype=np.int64)
+    hi = np.asarray([c.hi for c in checklist], dtype=np.int64)
+    return checklist, x, y, lo, hi
+
+
 def check_independent(
     tt: model.Timetable, instance: model.Instance
 ) -> model.EvaluationReport:
-    """Evaluate a timetable by explicit wrap-offset trial.
-
-    Each constraint is satisfied iff the raw event difference lands in the
-    window after adding -period, 0 or +period (sufficient by the range
-    argument in the module docstring). No modulo reduction is involved, so
-    this is an independent cross-check of the main evaluator.
-    """
+    """Evaluate a timetable by explicit wrap-offset trial (`_wrap_trial`)
+    over `_checklist`: no modulo reduction is involved, so this is an
+    independent cross-check of the main evaluator."""
     T = instance.period
+    checklist, x, y, lo, hi = _checks(instance)
+    times = np.asarray([tt.of(e) for e in instance.event_index.events], dtype=np.int64)
+    raw = times[y] - times[x]
     counts = {kind: 0 for kind in model.ConstraintKind}
     violated: list[model.Violation] = []
-    for c in _checklist(instance):
-        tx = tt.of(c.earlier)
-        ty = tt.of(c.later)
-        raw = ty - tx
-        satisfied = (
-            c.lo <= raw <= c.hi
-            or c.lo <= raw - T <= c.hi
-            or c.lo <= raw + T <= c.hi
-        )
-        if not satisfied:
-            counts[c.kind] += 1
-            violated.append(model.Violation(c, raw % T, 0))
-    fitness = sum(
-        counts[k] * instance.weights.weight_for(k) for k in model.ConstraintKind
-    )
+    for i in np.flatnonzero(~_wrap_trial(raw, lo, hi, T)).tolist():
+        c = checklist[i]
+        counts[c.kind] += 1
+        violated.append(model.Violation(c, int(raw[i]) % T))
+    fitness = model.weighted_fitness(counts, instance.weights)
     return model.EvaluationReport(counts, fitness, tuple(violated))

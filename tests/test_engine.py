@@ -243,9 +243,9 @@ class TestCompiledProblem:
 
 class TestRun:
     def test_evaluator_disagreement_raises_named_error(self):
-        # the batch path trusts the encoding for running windows; a
-        # constraint set whose running window the genes cannot meet makes
-        # the scalar re-check count a violation the batch did not
+        # a constraint set whose running window the genes cannot meet makes
+        # the scalar evaluation count a violation that the independent
+        # check, which re-derives the constraints from the instance, does not
         inst = micro_three_trains()
         constraints = model.derive_bounds(inst)
         running = next(c for c in constraints if c.kind is model.ConstraintKind.RUNNING)

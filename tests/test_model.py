@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from perisched import codec, model
+from perisched import codec, model, oracle
 from perisched.errors import (
     BoundInversion,
     MalformedInstance,
@@ -37,50 +37,48 @@ def timetable(period, tx, ty):
     )
 
 
+def verdict(c, tt):
+    """``(violated, diff)`` of one constraint, through `model.evaluate`."""
+    report = model.evaluate(tt, [c], WeightConfig())
+    if report.violated:
+        return True, report.violated[0].diff
+    return False, None
+
+
 class TestEvalConstraint:
     def test_difference_at_lower_bound(self):
-        sat, q, diff = model.eval_constraint(constraint(3, 57), timetable(60, 0, 3), 60)
-        assert (sat, q, diff) == (True, 0, 3)
+        assert verdict(constraint(3, 57), timetable(60, 0, 3)) == (False, None)
 
     def test_wrap_across_period_boundary(self):
-        sat, q, diff = model.eval_constraint(constraint(5, 15), timetable(60, 55, 5), 60)
-        assert (sat, q, diff) == (True, 1, 10)
+        assert verdict(constraint(5, 15), timetable(60, 55, 5)) == (False, None)
 
     def test_outside_window(self):
-        sat, q, diff = model.eval_constraint(constraint(5, 15), timetable(60, 0, 20), 60)
-        assert not sat
-        assert q == 0
-        assert diff == 20
+        assert verdict(constraint(5, 15), timetable(60, 0, 20)) == (True, 20)
+        assert verdict(constraint(5, 15), timetable(60, 30, 20)) == (True, 50)
 
     def test_missing_event(self):
         tt = Timetable(60, {Event.arrival("i", "s"): 0})
         with pytest.raises(MissingEvent):
-            model.eval_constraint(constraint(0, 5), tt, 60)
+            model.evaluate(tt, [constraint(0, 5)], WeightConfig())
 
     def test_negative_lower_bound(self):
         # window [-4, 4] mod 12 means "within 4 minutes either way"
         c = constraint(-4, 4)
-        assert model.eval_constraint(c, timetable(12, 10, 8), 12)[0]
-        assert model.eval_constraint(c, timetable(12, 10, 2), 12)[0]
-        assert not model.eval_constraint(c, timetable(12, 10, 4), 12)[0]
+        assert verdict(c, timetable(12, 10, 8)) == (False, None)
+        assert verdict(c, timetable(12, 10, 2)) == (False, None)
+        assert verdict(c, timetable(12, 10, 4)) == (True, 6)
 
     def test_mod_rule_matches_wrap_enumeration_exhaustively(self):
-        # ground truth: some q in {-1, 0, 1} puts the raw difference in
-        # the window; exhaustive over all windows and time pairs
+        # the evaluator's modulo rule against the oracle's wrap trial, over
+        # all windows and time pairs
         for period in (6, 12, 24):
             x = np.arange(period).repeat(period)
             y = np.tile(np.arange(period), period)
-            raw = y - x
-            d = raw % period
             for lo in range(-(period - 1), period):
                 for hi in range(lo, min(lo + period - 1, period - 1) + 1):
-                    by_mod = (d - lo) % period <= hi - lo
-                    by_trial = (
-                        ((lo <= raw) & (raw <= hi))
-                        | ((lo <= raw - period) & (raw - period <= hi))
-                        | ((lo <= raw + period) & (raw + period <= hi))
-                    )
-                    assert np.array_equal(by_mod, by_trial), (period, lo, hi)
+                    violated = model.window_test(y - x, lo, hi - lo, period)
+                    held = oracle._wrap_trial(y - x, lo, hi, period)
+                    assert np.array_equal(~violated, held), (period, lo, hi)
 
 
 class TestEvaluate:
@@ -135,7 +133,7 @@ class TestEvaluate:
     def test_violation_records_carry_diff_and_q(self):
         c = constraint(5, 15)
         report = model.evaluate(timetable(60, 0, 20), [c], WeightConfig())
-        assert report.violated == (model.Violation(c, 20, 0),)
+        assert report.violated == (model.Violation(c, 20),)
 
 
 class TestShiftTimetable:
@@ -252,7 +250,9 @@ class TestDeriveBounds:
         tt = Timetable(60, {Event.arrival("f", "B"): 0, Event.departure("g", "C"): 0,
                             Event.departure("f", "A"): 0, Event.arrival("g", "C"): 0,
                             Event.departure("g", "B"): 58})
-        assert model.eval_constraint(conn[0], tt, 60)[0]  # 58 == -2 mod 60
+        assert verdict(conn[0], tt) == (False, None)  # 58 == -2 mod 60
+        late = Timetable(60, {**tt.times, Event.departure("g", "B"): 11})
+        assert verdict(conn[0], late) == (True, 11)
 
     def test_vacuous_window_dropped_with_warning(self):
         # bypasses validation: dwell window spanning the whole period

@@ -7,7 +7,7 @@ from perisched import codec, model, oracle
 from perisched.errors import SpaceTooLarge
 from perisched.model import Event, Timetable, Train, Trip
 
-from conftest import make_instance, micro_unsat_connection
+from conftest import MICRO_BUILDERS, make_instance, micro_unsat_connection
 
 
 class TestLattice:
@@ -20,6 +20,13 @@ class TestLattice:
         inst = make_instance(60, [Train("t", 3, (Trip("A", "B", 10, 12),))])
         assert oracle.lattice_size(inst, 1) == 60 * 3
         assert oracle.lattice_size(inst, 59) == 2 * 2  # endpoints always kept
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_nonpositive_stride_rejected_by_name(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            oracle.lattice(0, 10, stride)
+        with pytest.raises(ValueError, match="stride"):
+            oracle.exhaustive_min(micro_unsat_connection(), stride=stride)
 
 
 class TestExhaustiveMin:
@@ -67,6 +74,40 @@ class TestExhaustiveMin:
         full, _ = oracle.exhaustive_min(micro_instance, stride=1)
         coarse, _ = oracle.exhaustive_min(micro_instance, stride=3)
         assert coarse >= full
+
+
+class TestIndependence:
+    # (best, lexicographically smallest witness) at strides 1 and 3
+    PINNED = {
+        "headway_connection": ((0, (0, 3, 1, 3, 8, 5)), (0, (0, 3, 1, 3, 9, 4))),
+        "mutual_transfers": ((0, (0, 3, 1, 3, 0, 3, 1, 3)),) * 2,
+        "single_track": ((0, (0, 3, 0, 3)),) * 2,
+        "three_trains": (
+            (0, (0, 3, 1, 3, 2, 3, 1, 3, 1, 3)),
+            (0, (0, 3, 1, 3, 3, 3, 1, 3, 11, 3)),
+        ),
+        "unsat_connection": ((1, (0, 3, 0, 3)),) * 2,
+    }
+
+    def test_oracle_never_calls_the_evaluator(self, monkeypatch):
+        reference = {}
+        for name, build in MICRO_BUILDERS.items():
+            inst = build()
+            tt = model.random_timetable(inst, np.random.default_rng(31))
+            ours = model.evaluate(tt, model.derive_bounds(inst), inst.weights)
+            reference[name] = (inst, tt, ours.violations_by_type)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the main evaluator")
+
+        for name in ("derive_bounds", "evaluate", "window_test"):
+            monkeypatch.setattr(model, name, forbidden)
+        oracle._checks.cache_clear()
+        for name, (inst, tt, counts) in reference.items():
+            for stride, pinned in zip((1, 3), self.PINNED[name]):
+                best, witness = oracle.exhaustive_min(inst, stride=stride)
+                assert (best, witness.genes) == pinned
+            assert oracle.check_independent(tt, inst).violations_by_type == counts
 
 
 class TestCheckIndependent:
