@@ -28,6 +28,7 @@ __all__ = [
     "gene_bounds",
     "decode",
     "decode_array",
+    "accumulate_sections",
     "random_genotype",
 ]
 
@@ -81,18 +82,25 @@ def decode_array(genes: np.ndarray, instance: Instance) -> np.ndarray:
     """Event times encoded by a genotype (1-D) or by each row of a matrix
     of genotypes (2-D); the last axis runs over gene/event columns.
 
-    Within each train section the genes are accumulated in order and every
-    prefix sum, reduced mod the period, becomes the next event time. One
-    cumulative sum runs over the whole row; subtracting each section's
-    gene sum from the first gene of the next section makes that sum
-    restart at every section.
+    Within each train section the genes are accumulated in order
+    (`accumulate_sections`) and every prefix sum, reduced mod the period,
+    becomes the next event time.
     """
-    offsets = instance.event_index.section_offsets
     times = np.array(genes, dtype=np.int64)
-    times[..., offsets[1:]] -= np.add.reduceat(genes, offsets, axis=-1)[..., :-1]
-    np.cumsum(times, axis=-1, out=times)
+    accumulate_sections(times, instance.event_index.section_offsets)
     times %= instance.period
     return times
+
+
+def accumulate_sections(times: np.ndarray, starts: np.ndarray) -> None:
+    """Replace `times` in place by its prefix sums along the last axis,
+    restarting at every column in `starts` (ascending, the first 0).
+
+    One cumulative sum runs over the whole row; subtracting each section's
+    sum from the first column of the next section makes it restart there.
+    """
+    times[..., starts[1:]] -= np.add.reduceat(times, starts, axis=-1)[..., :-1]
+    np.cumsum(times, axis=-1, out=times)
 
 
 def decode(genotype: Genotype, instance: Instance) -> Timetable:

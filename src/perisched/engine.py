@@ -9,7 +9,12 @@ construction of the encoding, so an individual's fitness is the weighted
 violation count of the pairwise families only (headway, single-track,
 connection); zero fitness is a timetable satisfying everything.
 
-The generation step operates on the whole population as numpy arrays.
+The generation step operates on the whole population as numpy arrays:
+the tournament winners are gathered once into a fresh matrix, whose rows
+are then crossed and mutated in place, so the previous population is
+never written. Fitness accumulates only the genes that the event times
+read by pairwise constraints depend on (`CompiledProblem`);
+`codec.decode_array` stays the decoder for full timetables.
 """
 
 from __future__ import annotations
@@ -93,7 +98,13 @@ class CompiledProblem:
 
     Genotype rows decode to event-time rows with `codec.decode_array`.
     Pairwise constraints become index/bound arrays over those event
-    columns, grouped by family so that violations are counted per family.
+    columns (`pair_x`, `pair_y`), grouped by family so that violations are
+    counted per family.
+
+    An event time is a prefix sum of its train's section, so fitness needs
+    only the genes up to each section's last column that a pair reads: the
+    gather plan keeps those (`kept`, whose sections start at `kept_starts`)
+    and locates each pair's columns among them (`kept_x`, `kept_y`).
     """
 
     def __init__(self, instance: model.Instance, constraints: Sequence[model.PeriodicConstraint]):
@@ -125,14 +136,30 @@ class CompiledProblem:
         self.pair_lo = np.asarray([c.lo for c in pairs], dtype=np.int64)
         self.pair_width = np.asarray([c.hi - c.lo for c in pairs], dtype=np.int64)
 
+        offsets = instance.event_index.section_offsets
+        read_column = np.full(self.length, -1, dtype=np.int64)
+        read_column[self.pair_x] = self.pair_x
+        read_column[self.pair_y] = self.pair_y
+        last = np.maximum.reduceat(read_column, offsets)  # each section's last read column, or -1
+        read = last >= offsets
+        starts = offsets[read]
+        lengths = last[read] + 1 - starts
+        self.kept_starts = lengths.cumsum() - lengths
+        self.kept = np.arange(lengths.sum()) + (starts - self.kept_starts).repeat(lengths)
+        self.kept_x = self.kept.searchsorted(self.pair_x)
+        self.kept_y = self.kept.searchsorted(self.pair_y)
+
     def decode_batch(self, genes: np.ndarray) -> np.ndarray:
         """Event-time matrix (rows = individuals, columns = events)."""
         return codec.decode_array(genes, self.instance)
 
     def violation_counts(self, genes: np.ndarray) -> dict[model.ConstraintKind, np.ndarray]:
-        """Violated constraints of each family, per individual."""
-        events = self.decode_batch(genes)
-        raw = events[:, self.pair_y] - events[:, self.pair_x]
+        """Violated constraints of each family, per row of a genotype matrix.
+        The kept genes' prefix sums need no mod-period step: `window_test`
+        reduces the difference mod the period itself."""
+        times = genes[:, self.kept].astype(np.int64, copy=False)
+        codec.accumulate_sections(times, self.kept_starts)
+        raw = times[:, self.kept_y] - times[:, self.kept_x]
         violated = model.window_test(raw, self.pair_lo, self.pair_width, self.period)
         return {
             kind: np.count_nonzero(violated[:, cols], axis=1)
@@ -233,23 +260,23 @@ def step_generation(state: GaState) -> GaState:
     winners = _tournament_winners(
         state.fitness, 2 * n_pairs, cfg.tournament_size, state.rng
     )
-    parent_a = state.population[winners[:n_pairs]]
-    parent_b = state.population[winners[n_pairs:]]
+    children = state.population[winners]  # a copy: parents stay untouched
+    child_a, child_b = children[:n_pairs], children[n_pairs:]
 
     crossed = state.rng.random(n_pairs) < cfg.crossover_rate
     cuts = state.rng.integers(1, L, size=n_pairs)
     tail = (np.arange(L)[None, :] >= cuts[:, None]) & crossed[:, None]
-    child_a = np.where(tail, parent_b, parent_a)
-    child_b = np.where(tail, parent_a, parent_b)
-    offspring = np.concatenate([child_a, child_b])[:n_off]
+    swapped_a = np.where(tail, child_b, child_a)
+    np.copyto(child_b, child_a, where=tail)
+    child_a[...] = swapped_a
+    offspring = children[:n_off]
 
     rate = (
         cfg.mutation_rate_per_gene
         if cfg.mutation_rate_per_gene is not None
         else 1.0 / L
     )
-    flip = state.rng.random(offspring.shape) < rate
-    rows, cols = np.nonzero(flip)
+    rows, cols = np.divmod(np.flatnonzero(state.rng.random(offspring.size) < rate), L)
     if len(rows):
         offspring[rows, cols] = state.rng.integers(
             problem.gene_lo[cols], problem.gene_hi[cols] + 1

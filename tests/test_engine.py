@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestCrossover:
         )
         for row in offspring:
             assert np.array_equal(row, problem.gene_lo) or np.array_equal(row, problem.gene_hi)
+
+    def test_offspring_never_alias_the_parents(self, cs1):
+        # children are crossed and mutated in place: the previous
+        # population, elites included, must come out of a step untouched
+        config = GaConfig(
+            population_size=21, max_evaluations=10_000, crossover_rate=1.0,
+            mutation_rate_per_gene=1.0, elite_count=3, seed=4,
+        )
+        state = engine.init_state(cs1, model.derive_bounds(cs1), config)
+        for _ in range(3):
+            parents = state.population
+            before = parents.copy()
+            engine.step_generation(state)
+            assert np.array_equal(parents, before)
+            assert not np.shares_memory(state.population, parents)
 
     def test_offspring_stay_in_bounds(self, cs1):
         constraints = model.derive_bounds(cs1)
@@ -272,6 +288,33 @@ class TestRun:
         assert a.evaluations_used == b.evaluations_used
         assert a.terminated_by == b.terminated_by
         assert a.generations == b.generations
+
+    # Seeded runs at population 100: (instance, budget, seed) -> best
+    # fitness, evaluations used, generations and a digest of the best
+    # genotype. The operators' random draws are part of every seeded
+    # result, so a change that shifts them fails here by name.
+    @pytest.mark.parametrize(
+        "name,budget,seed,fitness,evaluations,generations,digest",
+        [
+            ("cs1", 3_000, 0, 0, 2278, 22, "a7b9e77c325fad20"),
+            ("cs1", 3_000, 1, 1, 3000, 30, "5a5ad62d4d37d93f"),
+            ("cs1", 3_000, 2, 0, 2080, 20, "8d11053592227b3c"),
+            ("cs2", 5_000, 0, 6, 5000, 50, "479386e9a879682e"),
+            ("cs2", 5_000, 1, 4, 5000, 50, "273eccdff86bb197"),
+        ],
+        ids=["cs1-seed0", "cs1-seed1", "cs1-seed2", "cs2-seed0", "cs2-seed1"],
+    )
+    def test_seeded_run_is_pinned(
+        self, name, budget, seed, fitness, evaluations, generations, digest, request
+    ):
+        inst = request.getfixturevalue(name)
+        config = GaConfig(population_size=100, max_evaluations=budget, seed=seed)
+        result = engine.run(inst, model.derive_bounds(inst), config)
+        genes = np.asarray(result.best_genotype.genes, dtype="<i8").tobytes()
+        assert (
+            result.best_fitness, result.evaluations_used, result.generations,
+            hashlib.sha256(genes).hexdigest()[:16],
+        ) == (fitness, evaluations, generations, digest)
 
     def test_budget_respected_exactly(self):
         inst = micro_unsat_connection()  # optimum 1, so the budget binds

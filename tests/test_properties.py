@@ -4,7 +4,7 @@ import dataclasses
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from perisched import codec, engine, model, oracle
@@ -19,6 +19,8 @@ from perisched.model import (
 )
 
 STATIONS = "ABCDEF"
+BRANCH = "GHI"  # stations of a train that shares no track and no transfer
+PAIR_KINDS = (ConstraintKind.HEADWAY, ConstraintKind.SINGLE_TRACK, ConstraintKind.CONNECTION)
 
 weight = st.one_of(
     st.integers(0, 1000),
@@ -58,7 +60,9 @@ def train_on(draw, train_id, path):
 def instances(draw):
     """A valid instance with headway, single-track and connection pairs:
     train b shares train a's first trip, train c runs it backwards over a
-    single track, and a transfer links a to c where a arrives and c starts."""
+    single track, and a transfer links a to c where a arrives and c starts.
+    Train d, if any, runs on the same stations; train e, if any, on a
+    branch of its own, so that no pairwise constraint reads its events."""
     period = draw(st.integers(20, 40))
     a_path = draw(st.permutations(STATIONS))[: draw(st.integers(3, 5))]
     rest = [s for s in STATIONS if s not in a_path[:2]]
@@ -67,6 +71,8 @@ def instances(draw):
     paths = {"a": a_path, "b": b_path, "c": c_path}
     if draw(st.booleans()):
         paths["d"] = draw(st.permutations(STATIONS))[: draw(st.integers(2, 4))]
+    if draw(st.booleans()):
+        paths["e"] = draw(st.permutations(BRANCH))[: draw(st.integers(2, 3))]
     trains = tuple(draw(train_on(train_id, path)) for train_id, path in paths.items())
 
     single = {tuple(sorted(a_path[:2]))}
@@ -95,7 +101,7 @@ def instances(draw):
 
     instance = Instance(
         period=period,
-        stations=tuple(STATIONS),
+        stations=tuple(STATIONS + BRANCH),
         segments=segments,
         trains=trains,
         connections=tuple(connections),
@@ -111,7 +117,11 @@ def test_batch_fitness_is_the_scalar_fitness(instance, seed):
     constraints = model.derive_bounds(instance)
     assert {c.kind for c in constraints} == set(ConstraintKind)
     problem = engine.CompiledProblem(instance, constraints)
-    genes = problem.random_population(8, np.random.default_rng(seed))
+    genes = np.vstack([
+        problem.random_population(8, np.random.default_rng(seed)),
+        problem.gene_lo,
+        problem.gene_hi,
+    ])
     fitness = problem.fitness_batch(genes)
     counts = problem.violation_counts(genes)
     for row in range(len(genes)):
@@ -121,6 +131,55 @@ def test_batch_fitness_is_the_scalar_fitness(instance, seed):
         batch_counts = {kind: int(n[row]) for kind, n in counts.items()}
         assert batch_counts == report.violations_by_type
         assert batch_counts == oracle.check_independent(tt, instance).violations_by_type
+
+
+def unread_columns(instance: Instance, constraints) -> list[int]:
+    """Gene columns that no pairwise constraint depends on: those after the
+    last column such a constraint reads in their train's section, and every
+    column of a section it never reads."""
+    column = instance.event_index.column
+    read = {
+        column[event]
+        for c in constraints
+        if c.kind in PAIR_KINDS
+        for event in (c.earlier, c.later)
+    }
+    unread, start = [], 0
+    for train in instance.trains:
+        end = start + 2 * len(train.route)
+        last = max((col for col in range(start, end) if col in read), default=start - 1)
+        unread += range(last + 1, end)
+        start = end
+    return unread
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_genes_no_pair_reads_leave_the_counts(instance, seed):
+    constraints = model.derive_bounds(instance)
+    problem = engine.CompiledProblem(instance, constraints)
+    rng = np.random.default_rng(seed)
+    genes = problem.random_population(8, rng)
+    redrawn = genes.copy()
+    unread = unread_columns(instance, constraints)
+    redrawn[:, unread] = problem.random_population(8, rng)[:, unread]
+    before = problem.violation_counts(genes)
+    after = problem.violation_counts(redrawn)
+    assert all(np.array_equal(before[kind], after[kind]) for kind in ConstraintKind)
+
+
+def test_some_instance_has_a_train_no_pair_reads():
+    def has_unread_train(instance):
+        read = {
+            event.train
+            for c in model.derive_bounds(instance)
+            if c.kind in PAIR_KINDS
+            for event in (c.earlier, c.later)
+        }
+        return any(train.id not in read for train in instance.trains)
+
+    no_shrink = settings(derandomize=True, database=None, phases=[Phase.generate])
+    find(instances(), has_unread_train, settings=no_shrink)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
