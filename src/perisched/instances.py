@@ -218,9 +218,7 @@ def _instance_from_document(doc) -> Instance:
         wobj = doc["weights"]
         if not isinstance(wobj, dict):
             raise ValidationError("weights must be an object")
-        _reject_unknown(
-            wobj, {"running", "dwell", "headway", "single_track", "connection"}, "weights"
-        )
+        _reject_unknown(wobj, {kind.value for kind in ConstraintKind}, "weights")
         fields = {}
         for name, value in wobj.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -311,11 +309,7 @@ def _instance_document(instance: Instance) -> dict:
             for c in instance.connections
         ],
         "weights": {
-            "running": instance.weights.running,
-            "dwell": instance.weights.dwell,
-            "headway": instance.weights.headway,
-            "single_track": instance.weights.single_track,
-            "connection": instance.weights.connection,
+            kind.value: instance.weights.weight_for(kind) for kind in ConstraintKind
         },
     }
     if instance.meta != InstanceMeta():
@@ -343,7 +337,6 @@ def save(instance: Instance, path: str | Path) -> None:
 # timetable files
 
 def save_timetable(tt: Timetable, path: str | Path) -> None:
-    events = sorted(tt.times, key=lambda e: e.sort_key())
     doc = {
         "period": tt.period,
         "events": [
@@ -353,7 +346,7 @@ def save_timetable(tt: Timetable, path: str | Path) -> None:
                 "kind": e.kind.value,
                 "time": tt.times[e],
             }
-            for e in events
+            for e in sorted(tt.times)
         ],
     }
     try:
@@ -392,9 +385,9 @@ def load_timetable(path: str | Path, instance: Instance) -> Timetable:
         except ValueError:
             raise ValidationError(f"{where}: kind must be arrival or departure") from None
         event = Event(
-            kind,
             _a_str(_want(entry, "train", where), f"{where} train"),
             _a_str(_want(entry, "station", where), f"{where} station"),
+            kind,
         )
         if event in times:
             raise ValidationError(f"{where}: duplicate event")

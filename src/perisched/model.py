@@ -23,12 +23,12 @@ import numpy as np
 from .errors import BoundInversion, MalformedInstance, MissingEvent, ValidationError
 
 
-class EventKind(Enum):
+class EventKind(str, Enum):
     ARRIVAL = "arrival"
     DEPARTURE = "departure"
 
 
-class ConstraintKind(Enum):
+class ConstraintKind(str, Enum):
     RUNNING = "running"
     DWELL = "dwell"
     HEADWAY = "headway"
@@ -45,24 +45,25 @@ HARD_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single arrival or departure of a train at a station."""
+class Event(NamedTuple):
+    """A single arrival or departure of a train at a station.
 
-    kind: EventKind
+    A plain tuple, so it hashes and compares in C. Its natural order is
+    the sort order of saved and expanded timetables: by train, then
+    station, then arrival before departure.
+    """
+
     train: str
     station: str
+    kind: EventKind
 
     @classmethod
     def arrival(cls, train: str, station: str) -> "Event":
-        return cls(EventKind.ARRIVAL, train, station)
+        return cls(train, station, EventKind.ARRIVAL)
 
     @classmethod
     def departure(cls, train: str, station: str) -> "Event":
-        return cls(EventKind.DEPARTURE, train, station)
-
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.train, self.station, self.kind.value)
+        return cls(train, station, EventKind.DEPARTURE)
 
 
 @dataclass(frozen=True)
@@ -276,12 +277,22 @@ def train_events(train: Train) -> tuple[Event, ...]:
     return tuple(events)
 
 
+#: Exclusive upper bound on the period and on integer weights.
+INT_CAP = 2**31
+
+
 def validate_instance(instance: Instance) -> None:
     """Check every structural invariant, raising ValidationError (or the
     MalformedInstance subclass for dangling references) with a message
-    naming the offending element."""
-    if instance.period < 2:
-        raise ValidationError(f"period must be >= 2, got {instance.period}")
+    naming the offending element.
+
+    The period and integer weights must lie below `INT_CAP` (2**31), so every
+    gene and weight does. Then the batched int64 arithmetic stays exact: a
+    prefix sum over n genes, or a weighted count over n constraints, stays
+    below n * 2**31 < 2**63 for any n under 2**32, far more than fits in memory.
+    """
+    if not 2 <= instance.period < INT_CAP:
+        raise ValidationError(f"period must be in [2, 2**31), got {instance.period}")
 
     stations = instance.stations
     if len(set(stations)) != len(stations):
@@ -395,6 +406,8 @@ def validate_instance(instance: Instance) -> None:
                 f"weight for {kind.value} must be a finite non-negative number, "
                 f"got {value!r}"
             )
+        if isinstance(value, int) and value >= INT_CAP:
+            raise ValidationError(f"weight for {kind.value} must be below 2**31, got {value}")
     if not (w.headway > w.connection and w.single_track > w.connection):
         raise ValidationError(
             "hard-constraint weights (headway, single_track) must exceed the "
@@ -461,20 +474,17 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     out: list[PeriodicConstraint] = []
 
     def emit(kind, earlier, later, lo, hi):
-        lo, hi = _normalized_window(lo, hi, T)
-        if lo > hi:
-            raise BoundInversion(
-                f"{kind.value} constraint between {earlier} and {later} has "
-                f"lo {lo} > hi {hi}"
-            )
-        if hi - lo >= T:
+        c = PeriodicConstraint(kind, earlier, later, *_normalized_window(lo, hi, T))
+        if c.lo > c.hi:
+            raise BoundInversion(f"inverted window, lo > hi: {c.describe()}")
+        if c.hi - c.lo >= T:
             warnings.warn(
-                f"dropping vacuous {kind.value} constraint ({earlier} -> {later}): "
-                f"window [{lo}, {hi}] spans a full period",
+                f"dropping vacuous constraint, window spans a full period: "
+                f"{c.describe()}",
                 stacklevel=3,
             )
             return
-        out.append(PeriodicConstraint(kind, earlier, later, lo, hi))
+        out.append(c)
 
     for train in trains:
         for trip in train.route:
@@ -601,13 +611,9 @@ def expand_periods(tt: Timetable, k: int, period: int) -> list[tuple[int, Event]
     """
     if k < 1:
         raise ValueError(f"need at least one period, got k={k}")
-    entries = [
-        (t + p * period, event)
-        for event, t in tt.times.items()
-        for p in range(k)
-    ]
-    entries.sort(key=lambda item: (item[0], item[1].sort_key()))
-    return entries
+    return sorted(
+        (t + p * period, event) for event, t in tt.times.items() for p in range(k)
+    )
 
 
 def random_timetable(

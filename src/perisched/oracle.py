@@ -95,11 +95,9 @@ def exhaustive_min(
 
 def _normalize(lo: int, hi: int, period: int) -> tuple[int, int]:
     # same window convention as derivation: shift whole periods down until
-    # hi < period (only connection windows can need it)
-    while hi >= period:
-        lo -= period
-        hi -= period
-    return lo, hi
+    # hi < period (only connection windows, unbounded above, can need it)
+    shift = hi - hi % period if hi >= period else 0
+    return lo - shift, hi - shift
 
 
 def _checklist(instance: model.Instance) -> tuple[model.PeriodicConstraint, ...]:

@@ -1,9 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perisched
 from perisched import cli, codec, instances, model
+from perisched.errors import BoundInversion
 from perisched.model import Event, Segment, Timetable, Train, Trip
 
 from conftest import make_instance, micro_single_track, micro_unsat_connection
@@ -145,6 +152,63 @@ class TestSolve:
         assert f"weighted fitness: {report.weighted_fitness}\n" in out
         expected = 2 if report.hard_violations else 1 if report.soft_violations else 0
         assert code == expected
+
+    def test_outsized_integer_weight_exits_65(self, capsys):
+        code = cli.main(
+            ["solve", "--instance", "cs1", "--weights", "w_h=100000000000000000000000"]
+        )
+        assert code == 65
+        assert "weight for headway must be below 2**31" in capsys.readouterr().err
+
+    def test_messages_name_kinds_by_value(self, tmp_path, capsys):
+        # on Python 3.11+ f"{kind}" prints "EventKind.ARRIVAL", so kinds
+        # must be formatted through .value everywhere
+        path = write_instance(tmp_path, micro_unsat_connection())
+        cli.main(["solve", "--instance", path, "--pop", "30", "--max-evals", "3000"])
+        stdout = capsys.readouterr().out
+        assert "violated connection: arrival" in stdout
+
+        vacuous = make_instance(
+            60, [Train("w", 2, (Trip("A", "B", 5, 6, 0, 60), Trip("B", "C", 5, 6)))]
+        )
+        with pytest.warns(UserWarning) as record:
+            model.derive_bounds(vacuous)
+        warning = str(record[0].message)
+        assert "dwell: arrival w@B -> departure w@B" in warning
+
+        inverted = make_instance(
+            8, [Train(t, 5, (Trip("s", "t", 1, 2),)) for t in ("a", "b")]
+        )
+        with pytest.raises(BoundInversion) as info:
+            model.derive_bounds(inverted)
+        assert "headway: departure b@s -> departure a@s" in str(info.value)
+
+        for message in (stdout, warning, str(info.value)):
+            assert "EventKind." not in message
+            assert "ConstraintKind." not in message
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        src = str(Path(perisched.__file__).parents[1])
+        runs = []
+        for hash_seed in ("0", "1"):
+            cwd = tmp_path / hash_seed
+            cwd.mkdir()
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "perisched.cli", "solve", "--instance", "cs1",
+                    "--seed", "3", "--max-evals", "3K", "--timetable-out", "tt.json",
+                ],
+                cwd=cwd, env=env, capture_output=True, text=True,
+            )
+            stdout = re.sub(r"\(\d+\.\d+ s\)", "", done.stdout)
+            runs.append((done.returncode, stdout, (cwd / "tt.json").read_bytes()))
+        assert runs[0][0] in (0, 1)
+        assert runs[0] == runs[1]
 
     def test_unexpected_exception_exits_70(self, tmp_path, capsys, monkeypatch):
         def broken_run(*args):

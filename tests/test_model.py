@@ -383,6 +383,24 @@ class TestValidation:
         with pytest.raises(ValidationError, match="weight"):
             model.validate_instance(inst)
 
+    def test_period_at_int_cap_rejected(self):
+        train = Train("t", 1, (Trip("A", "B", 1, 1),))
+        model.validate_instance(make_instance(model.INT_CAP - 1, [train]))
+        with pytest.raises(ValidationError, match=r"period must be in \[2, 2\*\*31\)"):
+            model.validate_instance(make_instance(model.INT_CAP, [train]))
+
+    def test_integer_weight_at_int_cap_rejected(self):
+        def with_headway(w):
+            return make_instance(
+                60,
+                [Train("t", 2, (Trip("A", "B", 5, 6),))],
+                weights=WeightConfig(headway=w),
+            )
+
+        model.validate_instance(with_headway(model.INT_CAP - 1))
+        with pytest.raises(ValidationError, match="weight for headway must be below"):
+            model.validate_instance(with_headway(model.INT_CAP))
+
     def test_duplicate_segment_pair(self):
         inst = make_instance(
             60,

@@ -166,3 +166,20 @@ class TestCheckIndependent:
             ours = model.evaluate(tt, constraints, inst.weights)
             theirs = oracle.check_independent(tt, inst)
             assert ours.violations_by_type == theirs.violations_by_type
+
+    def test_outsized_connection_window_handled_alike(self):
+        feeder = Train("f", 2, (Trip("A", "B", 10, 12),))
+        onward = Train("g", 2, (Trip("B", "C", 10, 12),))
+        inst = make_instance(
+            60,
+            [feeder, onward],
+            connections=[model.ConnectionSpec("f", "g", "B", 10**30 + 55, 10**30 + 70)],
+        )
+        model.validate_instance(inst)
+        constraints = model.derive_bounds(inst)
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            tt = model.random_timetable(inst, rng)
+            ours = model.evaluate(tt, constraints, inst.weights)
+            theirs = oracle.check_independent(tt, inst)
+            assert ours.violations_by_type == theirs.violations_by_type

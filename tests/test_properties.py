@@ -1,13 +1,19 @@
 """Properties over randomly generated small valid instances."""
 
 import dataclasses
+import functools
+import json
+import operator
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from perisched import codec, engine, model, oracle
+from perisched.errors import TimetablingError
+from perisched.instances import dumps, loads
 from perisched.model import (
     ConnectionSpec,
     ConstraintKind,
@@ -212,3 +218,76 @@ def test_derivation_is_ordered_by_documented_keys(instance, rnd):
     column = instance.event_index.column
     keys = [_documented_key(c, column) for c in model.derive_bounds(instance)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_documents_round_trip(instance):
+    text = dumps(instance)
+    assert dumps(loads(text)) == text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1), st.integers(-100, 100))
+def test_shift_keeps_family_counts(instance, seed, delta):
+    constraints = model.derive_bounds(instance)
+    tt = model.random_timetable(instance, np.random.default_rng(seed))
+    shifted = model.shift_timetable(tt, delta, instance.period)
+    counts = model.evaluate(tt, constraints, instance.weights).violations_by_type
+    assert model.evaluate(shifted, constraints, instance.weights).violations_by_type == counts
+    assert oracle.check_independent(shifted, instance).violations_by_type == counts
+
+
+DROP = object()
+REQUIRED_KEYS = {
+    "period", "stations", "trains",  # instance
+    "id", "basic_headway", "route",  # train
+    "from", "to", "running", "dwell_after",  # trip; segments need from/to
+    "feeder", "onward", "station", "window",  # connection
+}
+WINDOW_KEYS = {"running", "dwell_after", "window"}
+OTHER_TYPE = {str: 7, int: "7", float: "7", bool: "yes", list: {}, dict: []}
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value below a JSON document node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _invalidating_edits(doc) -> list[tuple[tuple, object]]:
+    """Single edits (path, new value or DROP) of a valid instance document
+    that each make it invalid: a dropped required key, a value of the wrong
+    type, an outsized integer, a swapped window, an unknown train."""
+    edits = []
+    for path, value in _nodes(doc):
+        edits.append((path, OTHER_TYPE[type(value)]))
+        if type(value) is int:
+            edits += [(path, model.INT_CAP), (path, 10**30)]
+        if path[0] == "weights":  # every weight is optional and a number
+            continue
+        if path[-1] in REQUIRED_KEYS:
+            edits.append((path, DROP))
+        if path[-1] in WINDOW_KEYS and value[0] != value[1]:
+            edits.append((path, value[::-1]))
+    for k in range(len(doc["connections"])):
+        edits += [(("connections", k, role), "ghost") for role in ("feeder", "onward")]
+    return edits
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(instances(), st.data())
+def test_mutated_documents_raise_named_errors(instance, data):
+    doc = json.loads(dumps(instance))
+    path, value = data.draw(st.sampled_from(_invalidating_edits(doc)))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(TimetablingError) as info:
+        loads(json.dumps(doc))
+    assert type(info.value) is not TimetablingError
