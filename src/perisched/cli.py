@@ -15,7 +15,6 @@ import dataclasses
 import sys
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import codec, engine, instances, model
 from .errors import (
@@ -359,18 +358,18 @@ def _cmd_experiment(args) -> int:
     rows = run_experiment(instance, spec)
     output = aggregate_csv(rows, args.per_size)
     if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
+        instances.write_text(args.out, output)
     else:
         sys.stdout.write(output)
     if args.detail_csv:
-        Path(args.detail_csv).write_text(detail_csv(rows), encoding="utf-8")
+        instances.write_text(args.detail_csv, detail_csv(rows))
     return 0
 
 
 def _cmd_expand(args) -> int:
     instance = _load_instance(args.instance, None)
     tt = instances.load_timetable(args.timetable, instance)
-    entries = model.expand_periods(tt, args.k, instance.period)
+    entries = model.expand_periods(tt, args.k)
 
     trip_at = {
         (train.id, trip.from_station): trip

@@ -1,16 +1,11 @@
 """Integer-vector encoding of candidate timetables.
 
-A genotype concatenates one section per train. A section for a train
-with n trips holds 2n genes::
-
-    [first_departure, running_1, dwell_1, running_2, dwell_2, ..., running_n]
-
-The first gene may take any value in ``[0, period - 1]``; every running
-and dwell gene is confined to its own window from the instance. Decoding
-accumulates the section left to right and reduces each event time mod the
-period, so a decoded timetable can never violate a running or dwell
-constraint. Gene column i decodes to the time of event i of the
-instance's `EventIndex`.
+A genotype holds one gene per column of the instance's `model.EventIndex`,
+which owns the layout and each gene's window: per train, a free first
+departure, then the running and dwell durations of its journey. Decoding
+accumulates each train's section left to right and reduces every event
+time mod the period, so a decoded timetable can never violate a running or
+dwell constraint.
 """
 
 from __future__ import annotations
@@ -51,31 +46,11 @@ class GeneBounds:
     def __len__(self) -> int:
         return len(self.lo)
 
-    def check(self, genotype: Genotype) -> None:
-        if len(genotype) != len(self.lo):
-            raise OutOfBoundsGene(
-                f"genotype has {len(genotype)} genes, layout needs {len(self.lo)}"
-            )
-        for pos, (g, lo, hi) in enumerate(zip(genotype.genes, self.lo, self.hi)):
-            if not lo <= g <= hi:
-                raise OutOfBoundsGene(f"gene {pos} = {g} outside [{lo}, {hi}]")
-
 
 def gene_bounds(instance: Instance) -> GeneBounds:
-    """Per-gene ranges for an instance, in instance train order."""
-    lo: list[int] = []
-    hi: list[int] = []
-    for train in instance.trains:
-        lo.append(0)
-        hi.append(instance.period - 1)
-        last = len(train.route) - 1
-        for k, trip in enumerate(train.route):
-            lo.append(trip.running_lo)
-            hi.append(trip.running_hi)
-            if k < last:
-                lo.append(trip.dwell_after_lo)
-                hi.append(trip.dwell_after_hi)
-    return GeneBounds(tuple(lo), tuple(hi))
+    """Per-gene ranges of an instance (`EventIndex.gene_lo`/`gene_hi`)."""
+    index = instance.event_index
+    return GeneBounds(tuple(index.gene_lo.tolist()), tuple(index.gene_hi.tolist()))
 
 
 def decode_array(genes: np.ndarray, instance: Instance) -> np.ndarray:
@@ -107,9 +82,22 @@ def decode(genotype: Genotype, instance: Instance) -> Timetable:
     """Turn a genotype into the timetable it encodes (`decode_array` on
     one row). In-bounds genotypes satisfy all running and dwell windows
     by construction; out-of-bounds ones are rejected."""
-    gene_bounds(instance).check(genotype)
-    times = decode_array(np.asarray(genotype.genes, dtype=np.int64), instance)
-    return Timetable(instance.period, dict(zip(instance.event_index.events, times.tolist())))
+    index = instance.event_index
+    if len(genotype) != len(index.events):
+        raise OutOfBoundsGene(
+            f"genotype has {len(genotype)} genes, layout needs {len(index.events)}"
+        )
+    try:
+        genes = np.asarray(genotype.genes, dtype=np.int64)
+    except OverflowError:  # a gene beyond int64 lies outside every window
+        genes = np.asarray(genotype.genes, dtype=object)
+    outside = np.flatnonzero((genes < index.gene_lo) | (genes > index.gene_hi))
+    if len(outside):
+        pos = outside[0]
+        lo, hi = index.gene_lo[pos], index.gene_hi[pos]
+        raise OutOfBoundsGene(f"gene {pos} = {genotype.genes[pos]} outside [{lo}, {hi}]")
+    times = decode_array(genes, instance)
+    return Timetable(instance.period, dict(zip(index.events, times.tolist())))
 
 
 def random_genotype(bounds: GeneBounds, rng: np.random.Generator) -> Genotype:

@@ -108,12 +108,12 @@ class CompiledProblem:
     """
 
     def __init__(self, instance: model.Instance, constraints: Sequence[model.PeriodicConstraint]):
-        bounds = codec.gene_bounds(instance)
+        index = instance.event_index
         self.instance = instance
         self.period = instance.period
-        self.gene_lo = np.asarray(bounds.lo, dtype=np.int64)
-        self.gene_hi = np.asarray(bounds.hi, dtype=np.int64)
-        self.length = len(bounds)
+        self.gene_lo = index.gene_lo
+        self.gene_hi = index.gene_hi
+        self.length = len(index.events)
 
         # running and dwell hold by construction: their slices stay empty
         pairs: list[model.PeriodicConstraint] = []
@@ -123,7 +123,7 @@ class CompiledProblem:
             self.family_slice[kind] = slice(len(pairs), len(pairs) + len(group))
             pairs += group
 
-        column = instance.event_index.column
+        column = index.column
         try:
             self.pair_x = np.asarray([column[c.earlier] for c in pairs], dtype=np.int64)
             self.pair_y = np.asarray([column[c.later] for c in pairs], dtype=np.int64)
@@ -136,7 +136,7 @@ class CompiledProblem:
         self.pair_lo = np.asarray([c.lo for c in pairs], dtype=np.int64)
         self.pair_width = np.asarray([c.hi - c.lo for c in pairs], dtype=np.int64)
 
-        offsets = instance.event_index.section_offsets
+        offsets = index.section_offsets
         read_column = np.full(self.length, -1, dtype=np.int64)
         read_column[self.pair_x] = self.pair_x
         read_column[self.pair_y] = self.pair_y

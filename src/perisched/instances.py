@@ -251,22 +251,43 @@ def _instance_from_document(doc) -> Instance:
     return instance
 
 
-def loads(text: str) -> Instance:
-    """Parse and fully validate an instance from a JSON string."""
+def _parse_json(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return _instance_from_document(doc)
+    except RecursionError:
+        raise ParseError("document nested too deeply to parse") from None
 
 
-def load(path: str | Path) -> Instance:
-    """Load and fully validate an instance file."""
+def _read_json(path: str | Path):
+    """The JSON document in a UTF-8 file; every way reading or parsing can
+    fail becomes an IoError or a ParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
-    return loads(text)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
+    return _parse_json(text)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8; failure becomes an IoError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e
+
+
+def loads(text: str) -> Instance:
+    """Parse and fully validate an instance from a JSON string."""
+    return _instance_from_document(_parse_json(text))
+
+
+def load(path: str | Path) -> Instance:
+    """Load and fully validate an instance file."""
+    return _instance_from_document(_read_json(path))
 
 
 def _instance_document(instance: Instance) -> dict:
@@ -327,10 +348,7 @@ def dumps(instance: Instance) -> str:
 
 def save(instance: Instance, path: str | Path) -> None:
     """Write an instance in canonical form (trains ordered by id)."""
-    try:
-        Path(path).write_text(dumps(instance), encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    write_text(path, dumps(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +367,12 @@ def save_timetable(tt: Timetable, path: str | Path) -> None:
             for e in sorted(tt.times)
         ],
     }
-    try:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_timetable(path: str | Path, instance: Instance) -> Timetable:
     """Load a timetable file and check it covers the instance's events."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("timetable document must be a JSON object")
     _reject_unknown(doc, {"period", "events"}, "timetable")
@@ -450,12 +458,10 @@ def _line_trains(
 def _nominal_genotype(instance: Instance, phases: dict[str, int]) -> codec.Genotype:
     """Each train departs at its phase, every running and dwell gene sits
     at the middle of its window."""
-    bounds = codec.gene_bounds(instance)
-    genes = [lo + (hi - lo) // 2 for lo, hi in zip(bounds.lo, bounds.hi)]
-    offsets = instance.event_index.section_offsets.tolist()
-    for train, col in zip(instance.trains, offsets):
-        genes[col] = phases[train.id]
-    return codec.Genotype(tuple(genes))
+    index = instance.event_index
+    genes = index.gene_lo + (index.gene_hi - index.gene_lo) // 2
+    genes[index.section_offsets] = [phases[train.id] for train in instance.trains]
+    return codec.Genotype(tuple(genes.tolist()))
 
 
 def _nominal_timetable(instance: Instance, phases: dict[str, int]) -> Timetable:

@@ -138,32 +138,47 @@ class InstanceMeta:
     notes: str = ""
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class EventIndex:
-    """The events of an instance, interned to integer columns.
+    """The genotype layout of an instance: its events interned to integer
+    columns, each with the window of its gene.
 
     Column i of a genotype, and of a decoded event-time row, belongs to
-    ``events[i]``: trains in instance order, each train's events in
-    journey order (`train_events`). The columns of one train form its
-    section; ``section_offsets`` holds the first column of each section.
+    ``events[i]``: trains in instance order, each train's events in journey
+    order (departure, then arrival and departure per stopover, then the
+    final arrival). The columns of one train form its section;
+    ``section_offsets`` holds the first column of each section. Gene i lies
+    in ``[gene_lo[i], gene_hi[i]]``: ``[0, period - 1]`` for a train's
+    first departure, the trip's running window for an arrival, the previous
+    trip's dwell window for any later departure. `of` makes the arrays
+    read-only; like `derive_bounds`, it assumes a validated instance.
     """
 
     events: tuple[Event, ...]
     column: dict[Event, int]
     section_offsets: np.ndarray
+    gene_lo: np.ndarray
+    gene_hi: np.ndarray
 
     @classmethod
-    def of(cls, trains: Sequence[Train]) -> "EventIndex":
-        events: list[Event] = []
-        offsets: list[int] = []
-        for train in trains:
+    def of(cls, instance: Instance) -> "EventIndex":
+        events, offsets, windows = [], [], []
+        for train in instance.trains:
             offsets.append(len(events))
-            events.extend(train_events(train))
-        return cls(
-            tuple(events),
-            {e: col for col, e in enumerate(events)},
-            np.asarray(offsets, dtype=np.int64),
-        )
+            departure = (0, instance.period - 1)  # the window of the next departure's gene
+            for trip in train.route:
+                events.append(Event.departure(train.id, trip.from_station))
+                events.append(Event.arrival(train.id, trip.to_station))
+                windows += (departure, (trip.running_lo, trip.running_hi))
+                departure = (trip.dwell_after_lo, trip.dwell_after_hi)
+        arrays = [_read_only(a) for a in (offsets, *zip(*windows))]
+        return cls(tuple(events), {e: col for col, e in enumerate(events)}, *arrays)
 
 
 @dataclass(frozen=True)
@@ -182,7 +197,11 @@ class Instance:
     def event_index(self) -> EventIndex:
         """This instance's event index, built on first use and then kept
         (and pickled) with the instance."""
-        return EventIndex.of(self.trains)
+        return EventIndex.of(self)
+
+    def __hash__(self) -> int:
+        # equal instances share these; the generated __eq__ settles collisions
+        return hash((self.period, self.stations))
 
 
 @dataclass(frozen=True)
@@ -232,9 +251,6 @@ class Timetable:
                 f"at station {event.station}"
             ) from None
 
-    def __contains__(self, event: Event) -> bool:
-        return event in self.times
-
 
 class Violation(NamedTuple):
     constraint: PeriodicConstraint
@@ -264,17 +280,6 @@ class EvaluationReport:
     @property
     def feasible_with_connections(self) -> bool:
         return self.hard_violations == 0 and self.soft_violations == 0
-
-
-def train_events(train: Train) -> tuple[Event, ...]:
-    """All events of a train in journey order: departure at the origin,
-    then arrival and departure per stopover, then the final arrival.
-    Because routes chain, that is exactly dep/arr per trip."""
-    events: list[Event] = []
-    for trip in train.route:
-        events.append(Event.departure(train.id, trip.from_station))
-        events.append(Event.arrival(train.id, trip.to_station))
-    return tuple(events)
 
 
 #: Exclusive upper bound on the period and on integer weights.
@@ -598,12 +603,13 @@ def evaluate(
     return EvaluationReport(counts, weighted_fitness(counts, weights), tuple(violated))
 
 
-def shift_timetable(tt: Timetable, delta: int, period: int) -> Timetable:
-    """Rotate every event time by ``delta`` within the period."""
+def shift_timetable(tt: Timetable, delta: int) -> Timetable:
+    """Rotate every event time by ``delta`` within the timetable's period."""
+    period = tt.period
     return Timetable(period, {e: (t + delta) % period for e, t in tt.times.items()})
 
 
-def expand_periods(tt: Timetable, k: int, period: int) -> list[tuple[int, Event]]:
+def expand_periods(tt: Timetable, k: int) -> list[tuple[int, Event]]:
     """Unroll the canonical pattern over ``k`` consecutive periods.
 
     Each event appears once per period at ``canonical + p*period``; the
@@ -612,7 +618,7 @@ def expand_periods(tt: Timetable, k: int, period: int) -> list[tuple[int, Event]
     if k < 1:
         raise ValueError(f"need at least one period, got k={k}")
     return sorted(
-        (t + p * period, event) for event, t in tt.times.items() for p in range(k)
+        (t + p * tt.period, event) for event, t in tt.times.items() for p in range(k)
     )
 
 

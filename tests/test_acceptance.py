@@ -150,7 +150,7 @@ def test_criterion_6_shift_invariance(bundled):
             tt = model.random_timetable(inst, rng)
             delta = int(rng.integers(-3 * inst.period, 3 * inst.period))
             before = model.evaluate(tt, constraints, inst.weights)
-            shifted = model.shift_timetable(tt, delta, inst.period)
+            shifted = model.shift_timetable(tt, delta)
             after = model.evaluate(shifted, constraints, inst.weights)
             assert before.violations_by_type == after.violations_by_type, name
     report("6", "violation vectors unchanged under 1000 random shifts per instance")

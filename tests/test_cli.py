@@ -220,6 +220,50 @@ class TestSolve:
         assert "RuntimeError: boom" in capsys.readouterr().err
 
 
+class TestUnreadableAndUnwritableFiles:
+    """Input that cannot be decoded or parsed, and output that cannot be
+    written, exit 65 with a named message instead of a traceback."""
+
+    def assert_exits_65(self, capsys, argv, message):
+        assert cli.main(argv) == 65
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err
+
+    def test_non_utf8_instance(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"period": 60, "stations": ["Zürich"]}'.encode("latin-1"))
+        self.assert_exits_65(capsys, ["solve", "--instance", str(path)], "is not UTF-8 text")
+
+    def test_non_utf8_timetable(self, tmp_path, capsys):
+        inst_path = write_instance(tmp_path, micro_single_track())
+        tt_path = tmp_path / "tt.json"
+        tt_path.write_bytes(b"\xff\xfe{}")
+        argv = ["expand", "--instance", inst_path, "--timetable", str(tt_path)]
+        self.assert_exits_65(capsys, argv, "is not UTF-8 text")
+
+    def test_deeply_nested_instance(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        self.assert_exits_65(capsys, ["solve", "--instance", str(path)], "nested too deeply")
+
+    @pytest.mark.parametrize("flag", ["--out", "--detail-csv"])
+    def test_experiment_output_into_missing_directory(self, tmp_path, capsys, flag):
+        path = write_instance(tmp_path, micro_unsat_connection())
+        target = tmp_path / "missing" / "table.csv"
+        argv = [
+            "experiment", "--instance", path, "--pop", "20", "--max-evals", "500",
+            "--runs", "1", flag, str(target),
+        ]
+        self.assert_exits_65(capsys, argv, f"cannot write {target}")
+
+    def test_timetable_out_into_missing_directory(self, tmp_path, capsys):
+        path = write_instance(tmp_path, micro_single_track())
+        target = tmp_path / "missing" / "tt.json"
+        argv = ["solve", "--instance", path, "--max-evals", "500", "--timetable-out", str(target)]
+        self.assert_exits_65(capsys, argv, f"cannot write {target}")
+
+
 class TestExperiment:
     def run_experiment_cli(self, tmp_path, capsys, *extra):
         path = write_instance(tmp_path, micro_unsat_connection())

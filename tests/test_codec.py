@@ -50,6 +50,12 @@ class TestGeneBounds:
             if col % 8 == 0:
                 assert event == Event.departure(train.id, train.route[0].from_station)
 
+    def test_index_arrays_are_read_only(self, cs1):
+        index = cs1.event_index
+        for array in (index.section_offsets, index.gene_lo, index.gene_hi):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
 
 class TestDecode:
     def test_simple_accumulation(self):
@@ -69,12 +75,22 @@ class TestDecode:
         assert tt.of(Event.arrival("t", "s2")) == 15
 
     def test_out_of_bounds_gene_rejected(self):
-        with pytest.raises(OutOfBoundsGene, match="gene 1"):
+        with pytest.raises(OutOfBoundsGene, match=r"^gene 1 = 13 outside \[10, 12\]$"):
             codec.decode(codec.Genotype((10, 13)), single_trip_instance())
+        with pytest.raises(OutOfBoundsGene, match=r"^gene 0 = -1 outside \[0, 59\]$"):
+            codec.decode(codec.Genotype((-1, 11)), single_trip_instance())
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(OutOfBoundsGene):
-            codec.decode(codec.Genotype((10,)), single_trip_instance())
+        for genes in ((10,), (10, 11, 3)):
+            with pytest.raises(OutOfBoundsGene) as info:
+                codec.decode(codec.Genotype(genes), single_trip_instance())
+            assert str(info.value) == f"genotype has {len(genes)} genes, layout needs 2"
+
+    @pytest.mark.parametrize("gene", [10**30, -(10**30), 2**63, -(2**63) - 1])
+    def test_gene_beyond_int64_rejected(self, gene):
+        with pytest.raises(OutOfBoundsGene) as info:
+            codec.decode(codec.Genotype((10, gene)), single_trip_instance())
+        assert str(info.value) == f"gene 1 = {gene} outside [10, 12]"
 
     def test_structural_satisfaction_random_genotypes(self, micro_instance):
         bounds = codec.gene_bounds(micro_instance)
@@ -94,16 +110,15 @@ class TestDecode:
         bounds = codec.gene_bounds(cs1)
         rng = np.random.default_rng(3)
         recovered_any = False
+        index = cs1.event_index
+        starts = index.section_offsets.tolist()
+        sections = list(zip(starts, [*starts[1:], len(index.events)]))
         for _ in range(200):
             g = codec.random_genotype(bounds, rng)
             tt = codec.decode(g, cs1)
-            pos = 0
-            for train in cs1.trains:
-                events = model.train_events(train)
-                times = [tt.of(e) for e in events]
-                section_len = 2 * len(train.route)
-                genes = g.genes[pos : pos + section_len]
-                pos += section_len
+            for start, end in sections:
+                times = [tt.of(e) for e in index.events[start:end]]
+                genes = g.genes[start:end]
                 if any(b < a for a, b in zip(times, times[1:])):
                     continue  # wrapped somewhere; re-encoding is ambiguous
                 recovered = [times[0]] + [

@@ -140,8 +140,9 @@ class TestShiftTimetable:
     def test_zero_and_full_period_shift_are_identity(self, micro_instance):
         tt = model.random_timetable(micro_instance, np.random.default_rng(0))
         T = micro_instance.period
-        assert model.shift_timetable(tt, 0, T) == tt
-        assert model.shift_timetable(tt, T, T) == tt
+        assert model.shift_timetable(tt, 0) == tt
+        assert model.shift_timetable(tt, T) == tt
+        assert model.shift_timetable(tt, 7).period == T
 
     def test_shift_preserves_violations(self, micro_instance):
         T = micro_instance.period
@@ -152,7 +153,7 @@ class TestShiftTimetable:
             delta = int(rng.integers(-2 * T, 2 * T))
             before = model.evaluate(tt, constraints, micro_instance.weights)
             after = model.evaluate(
-                model.shift_timetable(tt, delta, T), constraints, micro_instance.weights
+                model.shift_timetable(tt, delta), constraints, micro_instance.weights
             )
             assert before.violations_by_type == after.violations_by_type
 
@@ -163,29 +164,33 @@ class TestExpandPeriods:
 
         tt = Timetable(60, {Event.departure("tgv", "origin"): 46})
         epoch = 8 * 60
-        entries = model.expand_periods(tt, 2, 60)
+        entries = model.expand_periods(tt, 2)
         rendered = [clock_str(epoch + t) for t, _ in entries]
         assert rendered == ["8:46", "9:46"]
 
     def test_single_period_is_canonical_pattern(self, micro_instance):
         tt = model.random_timetable(micro_instance, np.random.default_rng(2))
-        entries = model.expand_periods(tt, 1, micro_instance.period)
+        entries = model.expand_periods(tt, 1)
         assert sorted(t for t, _ in entries) == sorted(tt.times.values())
         assert len(entries) == len(tt.times)
 
     def test_three_periods_of_event_at_zero(self):
         tt = Timetable(60, {Event.arrival("x", "s"): 0})
-        entries = model.expand_periods(tt, 3, 60)
+        entries = model.expand_periods(tt, 3)
         assert [t for t, _ in entries] == [0, 60, 120]
+
+    def test_repeats_at_the_timetables_period(self):
+        tt = Timetable(12, {Event.arrival("x", "s"): 5})
+        assert [t for t, _ in model.expand_periods(tt, 3)] == [5, 17, 29]
 
     def test_sorted_by_absolute_time(self, cs1):
         tt = model.random_timetable(cs1, np.random.default_rng(3))
-        times = [t for t, _ in model.expand_periods(tt, 4, cs1.period)]
+        times = [t for t, _ in model.expand_periods(tt, 4)]
         assert times == sorted(times)
 
     def test_rejects_nonpositive_repetitions(self):
         with pytest.raises(ValueError):
-            model.expand_periods(Timetable(60, {}), 0, 60)
+            model.expand_periods(Timetable(60, {}), 0)
 
 
 class TestDeriveBounds:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -183,3 +184,23 @@ class TestCheckIndependent:
             ours = model.evaluate(tt, constraints, inst.weights)
             theirs = oracle.check_independent(tt, inst)
             assert ours.violations_by_type == theirs.violations_by_type
+
+    def test_instances_with_one_hash_keep_their_own_checks(self, cs1):
+        # same period and stations, so the same hash, but other connections
+        variant = dataclasses.replace(cs1, connections=cs1.connections[1:])
+        model.validate_instance(variant)
+        assert hash(variant) == hash(cs1) and variant != cs1
+        rng = np.random.default_rng(43)
+        timetables = [model.random_timetable(cs1, rng) for _ in range(20)]
+        expected = {}
+        for inst in (cs1, variant):
+            oracle._checks.cache_clear()
+            expected[inst.connections] = [
+                oracle.check_independent(tt, inst).violations_by_type for tt in timetables
+            ]
+        assert expected[cs1.connections] != expected[variant.connections]
+        oracle._checks.cache_clear()
+        for k, tt in enumerate(timetables):
+            for inst in (cs1, variant):
+                counts = oracle.check_independent(tt, inst).violations_by_type
+                assert counts == expected[inst.connections][k]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from perisched import codec, engine, model, oracle
 from perisched.errors import TimetablingError
-from perisched.instances import dumps, loads
+from perisched.instances import dumps, load_timetable, loads, save_timetable
 from perisched.model import (
     ConnectionSpec,
     ConstraintKind,
@@ -232,7 +232,7 @@ def test_documents_round_trip(instance):
 def test_shift_keeps_family_counts(instance, seed, delta):
     constraints = model.derive_bounds(instance)
     tt = model.random_timetable(instance, np.random.default_rng(seed))
-    shifted = model.shift_timetable(tt, delta, instance.period)
+    shifted = model.shift_timetable(tt, delta)
     counts = model.evaluate(tt, constraints, instance.weights).violations_by_type
     assert model.evaluate(shifted, constraints, instance.weights).violations_by_type == counts
     assert oracle.check_independent(shifted, instance).violations_by_type == counts
@@ -278,16 +278,58 @@ def _invalidating_edits(doc) -> list[tuple[tuple, object]]:
     return edits
 
 
+def _apply(doc, path: tuple, value) -> None:
+    """Set the value at `path`, drop it (DROP), or append it to a list
+    when the last key is the list's length."""
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is DROP:
+        del parent[path[-1]]
+    elif isinstance(parent, list) and path[-1] == len(parent):
+        parent.append(value)
+    else:
+        parent[path[-1]] = value
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(instances(), st.data())
 def test_mutated_documents_raise_named_errors(instance, data):
     doc = json.loads(dumps(instance))
-    path, value = data.draw(st.sampled_from(_invalidating_edits(doc)))
-    parent = functools.reduce(operator.getitem, path[:-1], doc)
-    if value is DROP:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
+    _apply(doc, *data.draw(st.sampled_from(_invalidating_edits(doc))))
     with pytest.raises(TimetablingError) as info:
         loads(json.dumps(doc))
+    assert type(info.value) is not TimetablingError
+
+
+def _invalidating_timetable_edits(doc) -> list[tuple[tuple, object]]:
+    """Single edits of a valid timetable document that each make it
+    invalid: a dropped key or event, a value of the wrong type, a time out
+    of range, an unknown train, station or kind, a duplicated event, a
+    mismatched period, an extra key."""
+    period, events = doc["period"], doc["events"]
+    edits = [(("period",), period + 1), (("extra",), 0), (("events", len(events)), events[0])]
+    for path, value in _nodes(doc):
+        edits += [(path, OTHER_TYPE[type(value)]), (path, DROP)]
+        if path[-1] == "time":
+            edits += [(path, -1), (path, period), (path, 10**30)]
+        if path[-1] in ("train", "station", "kind"):
+            edits.append((path, "ghost"))
+        if len(path) == 2:  # an event
+            edits.append((path + ("extra",), 0))
+    return edits
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1), st.data())
+def test_mutated_timetable_documents_raise_named_errors(
+    tmp_path_factory, instance, seed, data
+):
+    path = tmp_path_factory.mktemp("timetable") / "tt.json"
+    tt = model.random_timetable(instance, np.random.default_rng(seed))
+    save_timetable(tt, path)
+    assert load_timetable(path, instance) == tt
+    doc = json.loads(path.read_text())
+    _apply(doc, *data.draw(st.sampled_from(_invalidating_timetable_edits(doc))))
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TimetablingError) as info:
+        load_timetable(path, instance)
     assert type(info.value) is not TimetablingError
