@@ -39,8 +39,15 @@ DETAIL_HEADER = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment sweep: every (evaluation limit, population size)
-    cell is run `runs` times with seeds base_seed + cell*runs + run."""
+    """One experiment sweep: `runs` seeded runs of each population size,
+    each answered at every evaluation limit.
+
+    Run r of the p-th population size (counting from 0) is seeded
+    base_seed + p*runs + r, whatever the limit: it runs once, to the
+    largest limit, and each smaller limit's row is read off it as it
+    passes that limit (`engine.run_anytime`), exactly as a separate run to
+    that limit with the same seed would end. The runs of one (limit,
+    population) cell are independently seeded; the limits share them."""
 
     population_sizes: tuple[int, ...]
     eval_limits: tuple[int, ...]
@@ -49,12 +56,24 @@ class ExperimentSpec:
     workers: int = 1
 
     def validate(self) -> None:
+        """Raise `ConfigInvalid` for a spec that no run of it could carry
+        out, before any run starts."""
         if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+            raise ConfigInvalid("runs must be >= 1")
         if not self.population_sizes or not self.eval_limits:
-            raise ValueError("need at least one population size and one limit")
+            raise ConfigInvalid("need at least one population size and one limit")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigInvalid("workers must be >= 1")
+        for name, values in (
+            ("evaluation limit", self.eval_limits),
+            ("population size", self.population_sizes),
+        ):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigInvalid(f"repeated {name}: {', '.join(map(str, repeated))}")
+        for pop in self.population_sizes:
+            for limit in self.eval_limits:
+                engine.GaConfig(population_size=pop, max_evaluations=limit).validate()
 
 
 @dataclass(frozen=True)
@@ -85,44 +104,76 @@ class AggregateRow:
     avg_time_s: float
 
 
-def _run_cell_task(payload) -> DetailRow:
-    instance, constraints, limit, pop, run_index, seed = payload
-    config = engine.GaConfig(
-        population_size=pop, max_evaluations=limit, seed=seed
-    )
-    result = engine.run(instance, constraints, config)
-    return DetailRow(
-        max_evals=limit,
-        pop=pop,
-        run_index=run_index,
-        seed=seed,
-        best_fitness=result.best_fitness,
-        hard_violations=result.hard_violations,
-        soft_violations=result.soft_violations,
-        evaluations_used=result.evaluations_used,
-        terminated_by=result.terminated_by.value,
-        time_s=result.wall_time,
-    )
+def _run_rows(
+    instance: model.Instance,
+    constraints: list[model.PeriodicConstraint],
+    limits: tuple[int, ...],
+    pop: int,
+    run_index: int,
+    seed: int,
+) -> list[DetailRow]:
+    """One seeded run, as one row per evaluation limit in `limits` order."""
+    config = engine.GaConfig(population_size=pop, max_evaluations=max(limits), seed=seed)
+    results = engine.run_anytime(instance, constraints, config, limits)
+    return [
+        DetailRow(
+            max_evals=limit,
+            pop=pop,
+            run_index=run_index,
+            seed=seed,
+            best_fitness=result.best_fitness,
+            hard_violations=result.hard_violations,
+            soft_violations=result.soft_violations,
+            evaluations_used=result.evaluations_used,
+            terminated_by=result.terminated_by.value,
+            time_s=result.wall_time,
+        )
+        for limit, result in zip(limits, results)
+    ]
+
+
+# (instance, constraints, limits) of the sweep that a pool worker serves,
+# set once in each worker process by `_init_worker`
+_worker_sweep: tuple = ()
+
+
+def _init_worker(*sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_in_worker(task: tuple[int, int, int]) -> list[DetailRow]:
+    return _run_rows(*_worker_sweep, *task)
 
 
 def run_experiment(
     instance: model.Instance, spec: ExperimentSpec
 ) -> list[DetailRow]:
-    """All seeded runs of a sweep, in deterministic (cell, run) order."""
+    """Every row of a sweep, in (limit, population, run) order.
+
+    One GA runs per (population, run), seeded as `ExperimentSpec` says.
+    A row's ``time_s`` is that run's elapsed time when its limit's answer
+    was settled, so it covers the run only up to that limit. With several
+    workers, each worker process receives the instance and constraints
+    once, from the pool's initializer, and every task is just
+    ``(pop, run_index, seed)``.
+    """
     spec.validate()
     constraints = model.derive_bounds(instance)
-    tasks = []
-    cell = 0
-    for limit in spec.eval_limits:
-        for pop in spec.population_sizes:
-            for run_index in range(spec.runs):
-                seed = spec.base_seed + cell * spec.runs + run_index
-                tasks.append((instance, constraints, limit, pop, run_index, seed))
-            cell += 1
+    sweep = (instance, constraints, spec.eval_limits)
+    tasks = [
+        (pop, run_index, spec.base_seed + p * spec.runs + run_index)
+        for p, pop in enumerate(spec.population_sizes)
+        for run_index in range(spec.runs)
+    ]
     if spec.workers == 1:
-        return [_run_cell_task(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(_run_cell_task, tasks, chunksize=1))
+        runs = [_run_rows(*sweep, *task) for task in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=spec.workers, initializer=_init_worker, initargs=sweep
+        ) as pool:
+            runs = list(pool.map(_run_in_worker, tasks, chunksize=1))
+    return [rows[k] for k in range(len(spec.eval_limits)) for rows in runs]
 
 
 def aggregate(rows: list[DetailRow], by_pop: bool = False) -> list[AggregateRow]:

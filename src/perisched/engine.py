@@ -19,6 +19,7 @@ read by pairwise constraints depend on (`CompiledProblem`);
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -308,12 +309,75 @@ def run(
     `oracle.check_independent`; if their per-family counts differ,
     `EvaluatorMismatch` is raised.
     """
+    return run_anytime(instance, constraints, config, (config.max_evaluations,))[0]
+
+
+def run_anytime(
+    instance: model.Instance,
+    constraints: Sequence[model.PeriodicConstraint],
+    config: GaConfig,
+    limits: Sequence[int],
+) -> list[RunResult]:
+    """The results of `run` at several evaluation budgets, read off one
+    run: result i equals `run` with ``max_evaluations=limits[i]`` and the
+    same seed, but for its ``wall_time``, which is the time elapsed when
+    that budget's answer was settled (re-check included).
+
+    A shorter run is a prefix of a longer one: a generation's random draws
+    do not depend on the budget, and a budget that ends inside a generation
+    keeps a prefix of its offspring. The run stops at the largest limit,
+    or earlier at an optimum; every limit must be a valid budget no larger
+    than ``config.max_evaluations``.
+    """
+    for limit in limits:
+        dataclasses.replace(config, max_evaluations=limit).validate()
+        if limit > config.max_evaluations:
+            raise ConfigInvalid(
+                f"limit {limit} exceeds the run's budget ({config.max_evaluations})"
+            )
     start = time.perf_counter()
     state = init_state(instance, constraints, config)
-    while state.best_fitness > 0 and state.evaluations_used < config.max_evaluations:
-        step_generation(state)
+    pending = sorted(set(limits), reverse=True)  # the next limit to settle is last
+    answers: dict[int, RunResult] = {}
 
-    best_genotype = codec.Genotype(tuple(int(g) for g in state.best_genes))
+    def settle(genes: np.ndarray, fitness: int | float, evaluations: int) -> None:
+        answers[pending.pop()] = _checked_result(
+            instance, constraints, genes, fitness, evaluations, state.generation, start
+        )
+
+    offspring = config.elite_count  # first offspring row after a step
+    while pending:
+        if state.best_fitness == 0 or state.evaluations_used >= pending[-1]:
+            settle(state.best_genes, state.best_fitness, state.evaluations_used)
+            continue
+        evaluations, best_genes, best_fitness = (
+            state.evaluations_used, state.best_genes, state.best_fitness
+        )
+        step_generation(state)
+        # a limit inside this generation sees only a prefix of its offspring:
+        # their first minimum counts if it beats the best before the step
+        while pending and pending[-1] < state.evaluations_used:
+            kept = state.fitness[offspring : offspring + pending[-1] - evaluations]
+            i = int(np.argmin(kept))
+            if kept[i] < best_fitness:
+                settle(state.population[offspring + i], kept[i].item(), pending[-1])
+            else:
+                settle(best_genes, best_fitness, pending[-1])
+    return [answers[limit] for limit in limits]
+
+
+def _checked_result(
+    instance: model.Instance,
+    constraints: Sequence[model.PeriodicConstraint],
+    genes: np.ndarray,
+    fitness: int | float,
+    evaluations: int,
+    generations: int,
+    start: float,
+) -> RunResult:
+    """A run's answer: the best genotype's report, re-checked against
+    `oracle.check_independent`."""
+    best_genotype = codec.Genotype(tuple(int(g) for g in genes))
     timetable = codec.decode(best_genotype, instance)
     report = model.evaluate(timetable, constraints, instance.weights)
     independent = oracle.check_independent(timetable, instance).violations_by_type
@@ -322,18 +386,15 @@ def run(
             f"violation counts {_by_name(report.violations_by_type)} disagree with "
             f"the independent check {_by_name(independent)}"
         )
-    terminated = (
-        Termination.OPTIMUM_FOUND if state.best_fitness == 0 else Termination.EVAL_LIMIT
-    )
     return RunResult(
         best_genotype=best_genotype,
-        best_fitness=state.best_fitness,
+        best_fitness=fitness,
         hard_violations=report.hard_violations,
         soft_violations=report.soft_violations,
-        evaluations_used=state.evaluations_used,
+        evaluations_used=evaluations,
         wall_time=time.perf_counter() - start,
-        terminated_by=terminated,
-        generations=state.generation,
+        terminated_by=Termination.OPTIMUM_FOUND if fitness == 0 else Termination.EVAL_LIMIT,
+        generations=generations,
         report=report,
     )
 

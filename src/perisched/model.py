@@ -196,12 +196,19 @@ class Instance:
     @cached_property
     def event_index(self) -> EventIndex:
         """This instance's event index, built on first use and then kept
-        (and pickled) with the instance."""
+        with the instance (but not pickled with it)."""
         return EventIndex.of(self)
 
     def __hash__(self) -> int:
         # equal instances share these; the generated __eq__ settles collisions
         return hash((self.period, self.stations))
+
+    def __getstate__(self) -> dict:
+        # an unpickled instance rebuilds its own read-only index on first
+        # use: a pickled index would come back writable, at twice the size
+        state = self.__dict__.copy()
+        state.pop("event_index", None)
+        return state
 
 
 @dataclass(frozen=True)

@@ -126,3 +126,17 @@ MICRO_BUILDERS = {
 @pytest.fixture(params=sorted(MICRO_BUILDERS))
 def micro_instance(request):
     return MICRO_BUILDERS[request.param]()
+
+
+def run_answer(result):
+    """What a run answers, all but its timing: the fields a run read off a
+    longer one must share with a separate run to the same budget."""
+    return (
+        result.best_genotype,
+        result.best_fitness,
+        result.hard_violations,
+        result.soft_violations,
+        result.evaluations_used,
+        result.terminated_by,
+        result.generations,
+    )

@@ -315,14 +315,49 @@ class TestExperiment:
             assert float(parts[3]) == pytest.approx(pct, abs=1e-2)
             assert float(parts[4]) == pytest.approx(pct_conn, abs=1e-2)
 
-    def test_seed_derivation_unique_per_run(self, tmp_path, capsys):
+    def test_seeds_shared_across_limits(self, tmp_path, capsys):
+        # one seed per (pop, run), counting up from the base seed; every
+        # limit reads the same run, so its best never worsens with the limit
         detail_path = tmp_path / "detail.csv"
         self.run_experiment_cli(tmp_path, capsys, "--detail-csv", str(detail_path))
-        rows = detail_path.read_text().strip().splitlines()[1:]
-        seeds = [int(r.split(",")[3]) for r in rows]
-        assert len(set(seeds)) == len(seeds)
-        assert min(seeds) == 9  # base seed
-        assert max(seeds) == 9 + len(seeds) - 1
+        rows = [r.split(",") for r in detail_path.read_text().strip().splitlines()[1:]]
+        by_seed = {}
+        for limit, pop, run_index, seed, fitness, hard, *_ in rows:
+            by_seed.setdefault(int(seed), []).append(
+                (int(limit), (pop, run_index), float(fitness), int(hard))
+            )
+        assert sorted(by_seed) == list(range(9, 9 + 2 * 4))  # base seed 9, 2 pops x 4 runs
+        for runs in by_seed.values():
+            assert [limit for limit, *_ in runs] == [500, 1000]
+            assert len({cell for _, cell, *_ in runs}) == 1
+            (_, _, fitness_a, hard_a), (_, _, fitness_b, hard_b) = runs
+            assert fitness_b <= fitness_a and hard_b <= hard_a
+
+    @pytest.mark.parametrize(
+        "pop,limits,message",
+        [
+            ("20", "500,1K,500", "repeated evaluation limit: 500"),
+            ("20,30,20", "500", "repeated population size: 20"),
+            ("300", "30K,100", r"max_evaluations \(100\) must cover"),
+            ("1", "500", "population_size must be >= 2"),
+        ],
+    )
+    def test_invalid_spec_exits_64_before_any_run(
+        self, tmp_path, capsys, monkeypatch, pop, limits, message
+    ):
+        path = write_instance(tmp_path, micro_unsat_connection())
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli.engine, "run_anytime", no_run)
+        code = cli.main(
+            ["experiment", "--instance", path, "--pop", pop, "--max-evals", limits, "--runs", "20"]
+        )
+        err = capsys.readouterr().err
+        assert code == 64
+        assert re.search(message, err)
+        assert "Traceback" not in err
 
     def test_per_size_breakdown(self, tmp_path, capsys):
         out = self.run_experiment_cli(tmp_path, capsys, "--per-size")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,12 @@ class TestGeneBounds:
                 assert event == Event.departure(train.id, train.route[0].from_station)
 
     def test_index_arrays_are_read_only(self, cs1):
-        index = cs1.event_index
-        for array in (index.section_offsets, index.gene_lo, index.gene_hi):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+        cs1.event_index  # built before pickling, as in a sweep's parent process
+        for instance in (cs1, pickle.loads(pickle.dumps(cs1))):
+            index = instance.event_index
+            for array in (index.section_offsets, index.gene_lo, index.gene_hi):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
 
 
 class TestDecode:

@@ -9,7 +9,13 @@ from perisched.engine import GaConfig, Termination
 from perisched.errors import ConfigInvalid, EvaluatorMismatch
 from perisched.model import Train, Trip
 
-from conftest import MICRO_BUILDERS, make_instance, micro_three_trains, micro_unsat_connection
+from conftest import (
+    MICRO_BUILDERS,
+    make_instance,
+    micro_three_trains,
+    micro_unsat_connection,
+    run_answer,
+)
 
 
 def tiny_config(**kw):
@@ -367,3 +373,63 @@ class TestRun:
             assert result.best_fitness >= best
             hits += result.best_fitness == best
         assert hits >= 18
+
+
+class TestRunAnytime:
+    """Each answer of `run_anytime` is a separate `run` to its limit."""
+
+    def answers(self, instance, limits, **knobs):
+        constraints = model.derive_bounds(instance)
+        config = tiny_config(max_evaluations=max(limits), **knobs)
+        together = engine.run_anytime(instance, constraints, config, limits)
+        for limit, result in zip(limits, together):
+            alone = engine.run(
+                instance, constraints, dataclasses.replace(config, max_evaluations=limit)
+            )
+            assert run_answer(result) == run_answer(alone)
+        return together
+
+    def test_limit_equal_to_the_population_size(self):
+        first, _ = self.answers(micro_unsat_connection(), (20, 500))
+        assert (first.evaluations_used, first.generations) == (20, 0)
+
+    @pytest.mark.parametrize("population,seed", [(30, 3), (40, 8)])
+    def test_every_limit_of_the_first_generations(self, cs1, population, seed):
+        # every prefix of six generations' offspring. At population 30, seed
+        # 3 improves its best twice inside its fifth generation (5, 4, 3), so
+        # a prefix's answer is not the generation's; at 40, seed 8 finds a
+        # better offspring in its second generation and then one as good,
+        # so only the first minimum of a prefix is its answer
+        offspring = population - 1
+        limits = tuple(range(population, population + 6 * offspring + 1))
+        answers = self.answers(cs1, limits, population_size=population, seed=seed)
+        inside = answers[2 * offspring + 5]
+        assert (inside.evaluations_used, inside.generations) == (limits[2 * offspring + 5], 3)
+        assert inside.terminated_by is Termination.EVAL_LIMIT
+
+    def test_optimum_inside_a_truncated_generation(self, cs1):
+        # step a run to the generation that holds its first optimum
+        config = GaConfig(population_size=100, max_evaluations=5_000, seed=0)
+        state = engine.init_state(cs1, model.derive_bounds(cs1), config)
+        while state.best_fitness > 0:
+            before = state.evaluations_used
+            engine.step_generation(state)
+        first_zero = int(np.flatnonzero(state.fitness[config.elite_count :] == 0)[0])
+        found = before + first_zero + 1
+        assert found < state.evaluations_used  # the optimum is not the last offspring
+
+        missed, hit, end = self.answers(
+            cs1, (found - 1, found, 5_000), population_size=100, seed=0
+        )
+        assert missed.terminated_by is Termination.EVAL_LIMIT
+        assert (hit.terminated_by, hit.evaluations_used) == (Termination.OPTIMUM_FOUND, found)
+        assert (end.terminated_by, end.evaluations_used) == (
+            Termination.OPTIMUM_FOUND, state.evaluations_used
+        )
+
+    def test_limits_beyond_the_budget_rejected(self):
+        inst = micro_unsat_connection()
+        with pytest.raises(ConfigInvalid, match="exceeds"):
+            engine.run_anytime(inst, model.derive_bounds(inst), tiny_config(), (500, 3000))
+        with pytest.raises(ConfigInvalid, match="full population"):
+            engine.run_anytime(inst, model.derive_bounds(inst), tiny_config(), (10, 500))

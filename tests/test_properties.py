@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from perisched import codec, engine, model, oracle
 from perisched.errors import TimetablingError
-from perisched.instances import dumps, load_timetable, loads, save_timetable
+from perisched.instances import build_cs1, dumps, load_timetable, loads, save_timetable
 from perisched.model import (
     ConnectionSpec,
     ConstraintKind,
@@ -23,6 +23,8 @@ from perisched.model import (
     Trip,
     WeightConfig,
 )
+
+from conftest import MICRO_BUILDERS, run_answer
 
 STATIONS = "ABCDEF"
 BRANCH = "GHI"  # stations of a train that shares no track and no transfer
@@ -186,6 +188,36 @@ def test_some_instance_has_a_train_no_pair_reads():
 
     no_shrink = settings(derandomize=True, database=None, phases=[Phase.generate])
     find(instances(), has_unread_train, settings=no_shrink)
+
+
+# the micro instances, cs1 and generated instances; the micros mostly stop
+# at an optimum, cs1 and unsat_connection mostly at a limit
+ga_instances = st.one_of(
+    st.sampled_from(sorted(MICRO_BUILDERS)).map(lambda name: MICRO_BUILDERS[name]()),
+    st.builds(functools.cache(build_cs1)),
+    instances(),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ga_instances, st.integers(2, 40), st.integers(0, 2**32 - 1), st.data())
+def test_anytime_answers_are_separate_runs(instance, population, seed, data):
+    constraints = model.derive_bounds(instance)
+    limits = data.draw(
+        st.lists(st.integers(population, 12 * population), min_size=1, max_size=4, unique=True)
+    )
+    config = engine.GaConfig(
+        population_size=population,
+        max_evaluations=max(limits),
+        elite_count=data.draw(st.integers(0, min(3, population - 1))),
+        seed=seed,
+    )
+    together = engine.run_anytime(instance, constraints, config, limits)
+    for limit, result in zip(limits, together):
+        alone = engine.run(
+            instance, constraints, dataclasses.replace(config, max_evaluations=limit)
+        )
+        assert run_answer(result) == run_answer(alone)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
