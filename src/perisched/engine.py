@@ -9,12 +9,16 @@ construction of the encoding, so an individual's fitness is the weighted
 violation count of the pairwise families only (headway, single-track,
 connection); zero fitness is a timetable satisfying everything.
 
-The generation step operates on the whole population as numpy arrays:
-the tournament winners are gathered once into a fresh matrix, whose rows
-are then crossed and mutated in place, so the previous population is
-never written. Fitness accumulates only the genes that the event times
-read by pairwise constraints depend on (`CompiledProblem`);
-`codec.decode_array` stays the decoder for full timetables.
+The generation step operates on the whole population as numpy arrays.
+A run owns two population buffers: each step gathers the tournament
+winners straight into the spare one, crosses and mutates them there, adds
+the elites, and then swaps the two, so the population a step reads is
+never written during that step. Mutation draws one binomial flip count
+for the whole generation and then that many distinct gene positions,
+which is distributed exactly as an independent flip per gene. Fitness
+accumulates only the genes that the event times read by pairwise
+constraints depend on (`CompiledProblem`); `codec.decode_array` stays the
+decoder for full timetables.
 """
 
 from __future__ import annotations
@@ -179,7 +183,15 @@ class CompiledProblem:
 
 @dataclass
 class GaState:
-    """Mutable state of a run between generation steps."""
+    """Mutable state of a run between generation steps.
+
+    ``population`` and ``fitness`` are prefix views of ``buffers[0]`` and
+    ``fitness_buffers[0]``; a step writes the next generation into the
+    spares, ``buffers[1]`` and ``fitness_buffers[1]``, and then swaps each
+    pair. Every buffer has room for the elites plus both children of every
+    offspring pair (`step_generation`), one row more than the population
+    when the offspring count is odd.
+    """
 
     config: GaConfig
     problem: CompiledProblem
@@ -190,6 +202,8 @@ class GaState:
     generation: int
     best_genes: np.ndarray
     best_fitness: int | float
+    buffers: tuple[np.ndarray, np.ndarray]
+    fitness_buffers: tuple[np.ndarray, np.ndarray]
 
     def _note_best(self) -> None:
         idx = int(np.argmin(self.fitness))
@@ -207,18 +221,27 @@ def init_state(
     config.validate()
     problem = CompiledProblem(instance, constraints)
     rng = np.random.default_rng(config.seed)
-    population = problem.random_population(config.population_size, rng)
-    fitness = problem.fitness_batch(population)
+    size = config.population_size
+    rows = config.elite_count + 2 * _pair_count(config)
+    buffers = tuple(np.empty((rows, problem.length), dtype=np.int64) for _ in range(2))
+    population = buffers[0][:size]
+    population[...] = problem.random_population(size, rng)
+    first = problem.fitness_batch(population)
+    fitness_buffers = tuple(np.empty(rows, dtype=first.dtype) for _ in range(2))
+    fitness = fitness_buffers[0][:size]
+    fitness[...] = first
     state = GaState(
         config=config,
         problem=problem,
         rng=rng,
         population=population,
         fitness=fitness,
-        evaluations_used=config.population_size,
+        evaluations_used=size,
         generation=0,
         best_genes=population[0].copy(),
         best_fitness=fitness[0].item(),
+        buffers=buffers,
+        fitness_buffers=fitness_buffers,
     )
     state._note_best()
     return state
@@ -243,29 +266,41 @@ def _tournament_winners(
     return winner
 
 
+def _pair_count(config: GaConfig) -> int:
+    """Offspring pairs per generation; an odd offspring count drops the
+    second child of the last pair."""
+    return (config.population_size - config.elite_count + 1) // 2
+
+
 def step_generation(state: GaState) -> GaState:
     """Advance one generation: keep the elites, refill with offspring.
 
-    Offspring evaluation stops at the evaluation budget; a truncated final
-    generation keeps only its evaluated offspring, so the counter never
-    passes ``max_evaluations``.
+    The next generation is written into the spare buffers, elites first,
+    and the buffers are then swapped, so the population read by the step
+    is never written during it. Offspring evaluation stops at the
+    evaluation budget; a truncated final generation keeps only its
+    evaluated offspring (a shorter prefix view of the buffer), so the
+    counter never passes ``max_evaluations``.
     """
     cfg = state.config
     problem = state.problem
+    rng = state.rng
     L = problem.length
+    elites = cfg.elite_count
+    n_off = cfg.population_size - elites
+    n_pairs = _pair_count(cfg)
+    genes, fitness = state.buffers[1], state.fitness_buffers[1]
 
-    elite_idx = np.argsort(state.fitness, kind="stable")[: cfg.elite_count]
-    n_off = cfg.population_size - cfg.elite_count
-    n_pairs = (n_off + 1) // 2
-
-    winners = _tournament_winners(
-        state.fitness, 2 * n_pairs, cfg.tournament_size, state.rng
-    )
-    children = state.population[winners]  # a copy: parents stay untouched
+    elite_idx = np.argsort(state.fitness, kind="stable")[:elites]
+    winners = _tournament_winners(state.fitness, 2 * n_pairs, cfg.tournament_size, rng)
+    children = genes[elites:]
+    # winners are valid rows, so "clip" never clips; unlike "raise", it
+    # writes into `out` without an intermediate buffer
+    np.take(state.population, winners, axis=0, out=children, mode="clip")
     child_a, child_b = children[:n_pairs], children[n_pairs:]
 
-    crossed = state.rng.random(n_pairs) < cfg.crossover_rate
-    cuts = state.rng.integers(1, L, size=n_pairs)
+    crossed = rng.random(n_pairs) < cfg.crossover_rate
+    cuts = rng.integers(1, L, size=n_pairs)
     tail = (np.arange(L)[None, :] >= cuts[:, None]) & crossed[:, None]
     swapped_a = np.where(tail, child_b, child_a)
     np.copyto(child_b, child_a, where=tail)
@@ -277,19 +312,21 @@ def step_generation(state: GaState) -> GaState:
         if cfg.mutation_rate_per_gene is not None
         else 1.0 / L
     )
-    rows, cols = np.divmod(np.flatnonzero(state.rng.random(offspring.size) < rate), L)
+    flips = rng.binomial(offspring.size, rate)
+    rows, cols = np.divmod(rng.choice(offspring.size, flips, replace=False), L)
     if len(rows):
-        offspring[rows, cols] = state.rng.integers(
-            problem.gene_lo[cols], problem.gene_hi[cols] + 1
-        )
+        offspring[rows, cols] = rng.integers(problem.gene_lo[cols], problem.gene_hi[cols] + 1)
 
-    budget_left = max(0, cfg.max_evaluations - state.evaluations_used)
-    kept = offspring[: min(n_off, budget_left)]
-    kept_fitness = problem.fitness_batch(kept)
+    n_kept = min(n_off, max(0, cfg.max_evaluations - state.evaluations_used))
+    genes[:elites] = state.population[elite_idx]
+    fitness[:elites] = state.fitness[elite_idx]
+    fitness[elites : elites + n_kept] = problem.fitness_batch(offspring[:n_kept])
 
-    state.population = np.concatenate([state.population[elite_idx], kept])
-    state.fitness = np.concatenate([state.fitness[elite_idx], kept_fitness])
-    state.evaluations_used += len(kept)
+    state.buffers = state.buffers[::-1]
+    state.fitness_buffers = state.fitness_buffers[::-1]
+    state.population = genes[: elites + n_kept]
+    state.fitness = fitness[: elites + n_kept]
+    state.evaluations_used += n_kept
     state.generation += 1
     state._note_best()
     return state
