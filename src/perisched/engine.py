@@ -190,7 +190,8 @@ class GaState:
     spares, ``buffers[1]`` and ``fitness_buffers[1]``, and then swaps each
     pair. Every buffer has room for the elites plus both children of every
     offspring pair (`step_generation`), one row more than the population
-    when the offspring count is odd.
+    when the offspring count is odd. ``scratch`` holds one row per
+    offspring pair, for crossover to swap tails through.
     """
 
     config: GaConfig
@@ -204,6 +205,7 @@ class GaState:
     best_fitness: int | float
     buffers: tuple[np.ndarray, np.ndarray]
     fitness_buffers: tuple[np.ndarray, np.ndarray]
+    scratch: np.ndarray
 
     def _note_best(self) -> None:
         idx = int(np.argmin(self.fitness))
@@ -222,7 +224,8 @@ def init_state(
     problem = CompiledProblem(instance, constraints)
     rng = np.random.default_rng(config.seed)
     size = config.population_size
-    rows = config.elite_count + 2 * _pair_count(config)
+    n_pairs = _pair_count(config)
+    rows = config.elite_count + 2 * n_pairs
     buffers = tuple(np.empty((rows, problem.length), dtype=np.int64) for _ in range(2))
     population = buffers[0][:size]
     population[...] = problem.random_population(size, rng)
@@ -242,6 +245,7 @@ def init_state(
         best_fitness=fitness[0].item(),
         buffers=buffers,
         fitness_buffers=fitness_buffers,
+        scratch=np.empty((n_pairs, problem.length), dtype=np.int64),
     )
     state._note_best()
     return state
@@ -302,9 +306,9 @@ def step_generation(state: GaState) -> GaState:
     crossed = rng.random(n_pairs) < cfg.crossover_rate
     cuts = rng.integers(1, L, size=n_pairs)
     tail = (np.arange(L)[None, :] >= cuts[:, None]) & crossed[:, None]
-    swapped_a = np.where(tail, child_b, child_a)
-    np.copyto(child_b, child_a, where=tail)
-    child_a[...] = swapped_a
+    np.copyto(state.scratch, child_a, where=tail)
+    np.copyto(child_a, child_b, where=tail)
+    np.copyto(child_b, state.scratch, where=tail)
     offspring = children[:n_off]
 
     rate = (
