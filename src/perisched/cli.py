@@ -64,6 +64,8 @@ class ExperimentSpec:
             raise ConfigInvalid("need at least one population size and one limit")
         if self.workers < 1:
             raise ConfigInvalid("workers must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigInvalid(f"base seed must be >= 0, got {self.base_seed}")
         for name, values in (
             ("evaluation limit", self.eval_limits),
             ("population size", self.population_sizes),

@@ -82,6 +82,8 @@ class GaConfig:
             raise ConfigInvalid(
                 f"elite_count {self.elite_count} must lie in [0, population_size)"
             )
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,13 @@ class TestSolve:
         code = cli.main(["solve", "--instance", path, "--pop", "1"])
         assert code == 64
 
+    def test_negative_seed_exits_64(self, capsys):
+        code = cli.main(["solve", "--instance", "cs1", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_builtin_instance_names_resolve(self, capsys):
         code = cli.main(
             ["solve", "--instance", "cs1", "--pop", "300", "--max-evals", "30K", "--seed", "3"]
@@ -357,6 +364,22 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert code == 64
         assert re.search(message, err)
+        assert "Traceback" not in err
+
+    def test_negative_base_seed_exits_64_before_any_run(self, tmp_path, capsys, monkeypatch):
+        path = write_instance(tmp_path, micro_unsat_connection())
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli.engine, "run_anytime", no_run)
+        code = cli.main(
+            ["experiment", "--instance", path, "--pop", "20", "--max-evals", "500",
+             "--runs", "2", "--seed", "-1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 64
+        assert "base seed must be >= 0, got -1" in err
         assert "Traceback" not in err
 
     def test_per_size_breakdown(self, tmp_path, capsys):

@@ -37,6 +37,7 @@ class TestConfig:
             ("mutation_rate_per_gene", -0.1),
             ("tournament_size", 0),
             ("elite_count", 300),
+            ("seed", -1),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -139,14 +140,15 @@ class TestCrossover:
             assert np.array_equal(row, problem.gene_lo) or np.array_equal(row, problem.gene_hi)
 
     def test_offspring_never_alias_the_parents(self, cs1):
-        # children are crossed and mutated in place: the previous
-        # population, elites included, must come out of a step untouched
+        # children are crossed and mutated in place in the spare buffer: the
+        # previous population, elites included, must come out of a step
+        # untouched, also once each of the two buffers has been reused
         config = GaConfig(
             population_size=21, max_evaluations=10_000, crossover_rate=1.0,
             mutation_rate_per_gene=1.0, elite_count=3, seed=4,
         )
         state = engine.init_state(cs1, model.derive_bounds(cs1), config)
-        for _ in range(3):
+        for _ in range(6):
             parents = state.population
             before = parents.copy()
             engine.step_generation(state)
@@ -193,6 +195,22 @@ class TestMutate:
         expected = first.size / cs1.period
         assert counts.min() > expected * 0.8
         assert counts.max() < expected * 1.2
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3])
+    def test_intermediate_rate_flips_each_gene_independently(self, cs1, rate):
+        problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        population = np.repeat(problem.gene_lo[None, :], 4000, axis=0)
+        offspring = step_offspring(
+            cs1, population, seed=5, crossover_rate=0.0, mutation_rate_per_gene=rate
+        )
+        changed = offspring != problem.gene_lo
+        # a flip of a first departure resamples all `period` values, so it
+        # shows unless it draws gene_lo again
+        first = changed[:, problem.gene_hi == cs1.period - 1]
+        expected = rate * (1 - 1 / cs1.period)
+        stderr = np.sqrt(expected * (1 - expected) / first.size)
+        assert abs(first.mean() - expected) < 4 * stderr
+        assert changed.any(axis=0).all()  # every column is hit
 
     def test_stays_in_bounds(self, cs1):
         constraints = model.derive_bounds(cs1)
