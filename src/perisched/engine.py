@@ -286,9 +286,15 @@ def step_generation(state: GaState) -> GaState:
     is never written during it. Offspring evaluation stops at the
     evaluation budget; a truncated final generation keeps only its
     evaluated offspring (a shorter prefix view of the buffer), so the
-    counter never passes ``max_evaluations``.
+    counter never passes ``max_evaluations``. A state whose budget is
+    already spent raises ConfigInvalid.
     """
     cfg = state.config
+    if state.evaluations_used >= cfg.max_evaluations:
+        raise ConfigInvalid(
+            f"evaluation budget spent: {state.evaluations_used} of "
+            f"{cfg.max_evaluations} evaluations used"
+        )
     problem = state.problem
     rng = state.rng
     L = problem.length
@@ -323,7 +329,7 @@ def step_generation(state: GaState) -> GaState:
     if len(rows):
         offspring[rows, cols] = rng.integers(problem.gene_lo[cols], problem.gene_hi[cols] + 1)
 
-    n_kept = min(n_off, max(0, cfg.max_evaluations - state.evaluations_used))
+    n_kept = min(n_off, cfg.max_evaluations - state.evaluations_used)
     genes[:elites] = state.population[elite_idx]
     fitness[:elites] = state.fitness[elite_idx]
     fitness[elites : elites + n_kept] = problem.fitness_batch(offspring[:n_kept])

@@ -81,64 +81,79 @@ BUILTIN_NAMES = ("cs1", "cs2")
 
 # ---------------------------------------------------------------------------
 # parsing helpers
+#
+# A location in the document, such as ("trip", 3, "of train", "L1a"), is a
+# tuple of its words; `_label` joins them only when a message needs them,
+# so a valid document formats no location at all.
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def _label(where: tuple, field: str | None = None) -> str:
+    words = where if field is None else (*where, field)
+    return " ".join(map(str, words))
+
+
+def _reject_unknown(obj: dict, allowed: set[str], where: tuple) -> None:
     for key in obj:
         if key not in allowed:
-            raise ValidationError(f"unknown key {key!r} in {where}")
+            raise ValidationError(f"unknown key {key!r} in {_label(where)}")
 
 
-def _want(obj: dict, key: str, where: str):
+def _want(obj: dict, key: str, where: tuple):
     if key not in obj:
-        raise ValidationError(f"missing key {key!r} in {where}")
+        raise ValidationError(f"missing key {key!r} in {_label(where)}")
     return obj[key]
 
 
-def _int_pair(value, where: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise ValidationError(f"{where} must be a pair of integers, got {value!r}")
-    return value[0], value[1]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _an_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
+def _int_pair(value, where: tuple, field: str | None = None) -> tuple[int, int]:
+    if isinstance(value, list) and len(value) == 2 and _is_int(value[0]) and _is_int(value[1]):
+        return value[0], value[1]
+    raise ValidationError(
+        f"{_label(where, field)} must be a pair of integers, got {value!r}"
+    )
+
+
+def _an_int(value, where: tuple, field: str | None = None) -> int:
+    if not _is_int(value):
+        raise ValidationError(f"{_label(where, field)} must be an integer, got {value!r}")
     return value
 
 
-def _a_str(value, where: str) -> str:
+def _a_str(value, where: tuple, field: str | None = None) -> str:
     if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a string, got {value!r}")
+        raise ValidationError(f"{_label(where, field)} must be a string, got {value!r}")
     return value
 
 
-def _a_bool(value, where: str) -> bool:
+def _a_bool(value, where: tuple, field: str | None = None) -> bool:
     if not isinstance(value, bool):
-        raise ValidationError(f"{where} must be a boolean, got {value!r}")
+        raise ValidationError(f"{_label(where, field)} must be a boolean, got {value!r}")
     return value
 
 
-def _a_list(value, where: str) -> list:
+def _a_list(value, where: tuple, field: str | None = None) -> list:
     if not isinstance(value, list):
-        raise ValidationError(f"{where} must be a list")
+        raise ValidationError(f"{_label(where, field)} must be a list")
+    return value
+
+
+def _an_object(value, where: tuple) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{_label(where)} must be an object")
     return value
 
 
 def _parse_trip(obj, index: int, train_id: str) -> Trip:
-    where = f"trip {index} of train {train_id}"
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be an object")
-    _reject_unknown(obj, {"from", "to", "running", "dwell_after"}, where)
-    running = _int_pair(_want(obj, "running", where), f"{where} running")
+    where = ("trip", index, "of train", train_id)
+    _reject_unknown(_an_object(obj, where), {"from", "to", "running", "dwell_after"}, where)
+    running = _int_pair(_want(obj, "running", where), where, "running")
     dwell = obj.get("dwell_after")
-    dwell_pair = (None, None) if dwell is None else _int_pair(dwell, f"{where} dwell_after")
+    dwell_pair = (None, None) if dwell is None else _int_pair(dwell, where, "dwell_after")
     return Trip(
-        from_station=_a_str(_want(obj, "from", where), f"{where} from"),
-        to_station=_a_str(_want(obj, "to", where), f"{where} to"),
+        from_station=_a_str(_want(obj, "from", where), where, "from"),
+        to_station=_a_str(_want(obj, "to", where), where, "to"),
         running_lo=running[0],
         running_hi=running[1],
         dwell_after_lo=dwell_pair[0],
@@ -149,65 +164,58 @@ def _parse_trip(obj, index: int, train_id: str) -> Trip:
 def _instance_from_document(doc) -> Instance:
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
+    top = ("instance",)
     _reject_unknown(
         doc,
         {"period", "stations", "segments", "trains", "connections", "weights", "metadata"},
-        "instance",
+        top,
     )
 
-    period = _an_int(_want(doc, "period", "instance"), "period")
+    period = _an_int(_want(doc, "period", top), ("period",))
     stations = tuple(
-        _a_str(s, "station id")
-        for s in _a_list(_want(doc, "stations", "instance"), "stations")
+        _a_str(s, ("station id",))
+        for s in _a_list(_want(doc, "stations", top), ("stations",))
     )
 
     segments = []
-    for k, seg in enumerate(_a_list(doc.get("segments", []), "segments")):
-        where = f"segment {k}"
-        if not isinstance(seg, dict):
-            raise ValidationError(f"{where} must be an object")
-        _reject_unknown(seg, {"from", "to", "single_track"}, where)
+    for k, seg in enumerate(_a_list(doc.get("segments", []), ("segments",))):
+        where = ("segment", k)
+        _reject_unknown(_an_object(seg, where), {"from", "to", "single_track"}, where)
         segments.append(
             Segment(
-                _a_str(_want(seg, "from", where), f"{where} from"),
-                _a_str(_want(seg, "to", where), f"{where} to"),
-                _a_bool(seg.get("single_track", False), f"{where} single_track"),
+                _a_str(_want(seg, "from", where), where, "from"),
+                _a_str(_want(seg, "to", where), where, "to"),
+                _a_bool(seg.get("single_track", False), where, "single_track"),
             )
         )
 
     trains = []
-    for k, tr in enumerate(_a_list(_want(doc, "trains", "instance"), "trains")):
-        where = f"train {k}"
-        if not isinstance(tr, dict):
-            raise ValidationError(f"{where} must be an object")
-        _reject_unknown(tr, {"id", "basic_headway", "route"}, where)
-        train_id = _a_str(_want(tr, "id", where), f"{where} id")
+    for k, tr in enumerate(_a_list(_want(doc, "trains", top), ("trains",))):
+        where = ("train", k)
+        _reject_unknown(_an_object(tr, where), {"id", "basic_headway", "route"}, where)
+        train_id = _a_str(_want(tr, "id", where), where, "id")
         route = tuple(
             _parse_trip(trip, i, train_id)
-            for i, trip in enumerate(_a_list(_want(tr, "route", where), f"{where} route"))
+            for i, trip in enumerate(_a_list(_want(tr, "route", where), where, "route"))
         )
         trains.append(
             Train(
                 id=train_id,
-                basic_headway=_an_int(
-                    _want(tr, "basic_headway", where), f"{where} basic_headway"
-                ),
+                basic_headway=_an_int(_want(tr, "basic_headway", where), where, "basic_headway"),
                 route=route,
             )
         )
 
     connections = []
-    for k, conn in enumerate(_a_list(doc.get("connections", []), "connections")):
-        where = f"connection {k}"
-        if not isinstance(conn, dict):
-            raise ValidationError(f"{where} must be an object")
-        _reject_unknown(conn, {"feeder", "onward", "station", "window"}, where)
-        lo, hi = _int_pair(_want(conn, "window", where), f"{where} window")
+    for k, conn in enumerate(_a_list(doc.get("connections", []), ("connections",))):
+        where = ("connection", k)
+        _reject_unknown(_an_object(conn, where), {"feeder", "onward", "station", "window"}, where)
+        lo, hi = _int_pair(_want(conn, "window", where), where, "window")
         connections.append(
             ConnectionSpec(
-                feeder_train=_a_str(_want(conn, "feeder", where), f"{where} feeder"),
-                onward_train=_a_str(_want(conn, "onward", where), f"{where} onward"),
-                station=_a_str(_want(conn, "station", where), f"{where} station"),
+                feeder_train=_a_str(_want(conn, "feeder", where), where, "feeder"),
+                onward_train=_a_str(_want(conn, "onward", where), where, "onward"),
+                station=_a_str(_want(conn, "station", where), where, "station"),
                 conn_lo=lo,
                 conn_hi=hi,
             )
@@ -218,7 +226,7 @@ def _instance_from_document(doc) -> Instance:
         wobj = doc["weights"]
         if not isinstance(wobj, dict):
             raise ValidationError("weights must be an object")
-        _reject_unknown(wobj, {kind.value for kind in ConstraintKind}, "weights")
+        _reject_unknown(wobj, {kind.value for kind in ConstraintKind}, ("weights",))
         fields = {}
         for name, value in wobj.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -231,11 +239,12 @@ def _instance_from_document(doc) -> Instance:
         mobj = doc["metadata"]
         if not isinstance(mobj, dict):
             raise ValidationError("metadata must be an object")
-        _reject_unknown(mobj, {"name", "synthetic", "notes"}, "metadata")
+        where = ("metadata",)
+        _reject_unknown(mobj, {"name", "synthetic", "notes"}, where)
         meta = InstanceMeta(
-            name=_a_str(mobj.get("name", ""), "metadata name"),
-            synthetic=_a_bool(mobj.get("synthetic", False), "metadata synthetic"),
-            notes=_a_str(mobj.get("notes", ""), "metadata notes"),
+            name=_a_str(mobj.get("name", ""), where, "name"),
+            synthetic=_a_bool(mobj.get("synthetic", False), where, "synthetic"),
+            notes=_a_str(mobj.get("notes", ""), where, "notes"),
         )
 
     instance = Instance(
@@ -375,31 +384,30 @@ def load_timetable(path: str | Path, instance: Instance) -> Timetable:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("timetable document must be a JSON object")
-    _reject_unknown(doc, {"period", "events"}, "timetable")
-    period = _an_int(_want(doc, "period", "timetable"), "timetable period")
+    top = ("timetable",)
+    _reject_unknown(doc, {"period", "events"}, top)
+    period = _an_int(_want(doc, "period", top), top, "period")
     if period != instance.period:
         raise ValidationError(
             f"timetable period {period} does not match instance period {instance.period}"
         )
     times: dict[Event, int] = {}
-    for k, entry in enumerate(_a_list(_want(doc, "events", "timetable"), "events")):
-        where = f"timetable event {k}"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where} must be an object")
-        _reject_unknown(entry, {"train", "station", "kind", "time"}, where)
-        kind_name = _a_str(_want(entry, "kind", where), f"{where} kind")
+    for k, entry in enumerate(_a_list(_want(doc, "events", top), ("events",))):
+        where = ("timetable event", k)
+        _reject_unknown(_an_object(entry, where), {"train", "station", "kind", "time"}, where)
+        kind_name = _a_str(_want(entry, "kind", where), where, "kind")
         try:
             kind = EventKind(kind_name)
         except ValueError:
-            raise ValidationError(f"{where}: kind must be arrival or departure") from None
+            raise ValidationError(f"{_label(where)}: kind must be arrival or departure") from None
         event = Event(
-            _a_str(_want(entry, "train", where), f"{where} train"),
-            _a_str(_want(entry, "station", where), f"{where} station"),
+            _a_str(_want(entry, "train", where), where, "train"),
+            _a_str(_want(entry, "station", where), where, "station"),
             kind,
         )
         if event in times:
-            raise ValidationError(f"{where}: duplicate event")
-        times[event] = _an_int(_want(entry, "time", where), f"{where} time")
+            raise ValidationError(f"{_label(where)}: duplicate event")
+        times[event] = _an_int(_want(entry, "time", where), where, "time")
 
     index = instance.event_index
     for event in times:

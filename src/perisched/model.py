@@ -466,22 +466,46 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     output thus depends only on the instance content. Windows
     at least a full period wide are dropped with a warning; an inverted
     window raises BoundInversion.
+
+    Cost: linear in the instance's legs plus the constraints emitted (up
+    to sorting each train's pairs by partner). Pairs are found through an
+    index from each directed leg to the trains that run it, never by
+    trying every ordered pair of trains, and every event is the one
+    object `instance.event_index` holds for it.
     """
     T = instance.period
+    index = instance.event_index
+    events = index.events
     trains = sorted(instance.trains, key=lambda t: t.id)
+    # trip k of trains[i] departs with events[starts[i] + 2k], arrives with the next
+    offsets = dict(zip([t.id for t in instance.trains], index.section_offsets.tolist()))
+    starts = [offsets[t.id] for t in trains]
     # a validated train departs each station once, so it runs each
-    # directed leg at most once: one lookup finds a pair's shared leg
-    legs = {
-        t.id: {(trip.from_station, trip.to_station): trip for trip in t.route}
-        for t in trains
-    }
+    # directed leg at most once: (train position, route position) per runner
+    runners: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for i, train in enumerate(trains):
+        for k, trip in enumerate(train.route):
+            runners.setdefault((trip.from_station, trip.to_station), []).append((i, k))
     single = {
         leg
         for seg in instance.segments
         if seg.single_track
         for leg in (seg.pair(), seg.pair()[::-1])
     }
-    pairs = [(ti, tj) for ti in trains for tj in trains if ti is not tj]
+
+    def pairs(partner_legs):
+        """(i, k, j, m) for each trip k of each train i and each runner
+        (j, m) in ``partner_legs`` of that trip's leg, j other than i;
+        ordered by (i, j, k)."""
+        for i, train in enumerate(trains):
+            found = []
+            for k, trip in enumerate(train.route):
+                for j, m in partner_legs.get((trip.from_station, trip.to_station), ()):
+                    if j != i:
+                        found.append((j, k, m))
+            found.sort()
+            for j, k, m in found:
+                yield i, k, j, m
 
     out: list[PeriodicConstraint] = []
 
@@ -498,51 +522,46 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
             return
         out.append(c)
 
-    for train in trains:
-        for trip in train.route:
+    for train, start in zip(trains, starts):
+        for k, trip in enumerate(train.route):
             emit(
                 ConstraintKind.RUNNING,
-                Event.departure(train.id, trip.from_station),
-                Event.arrival(train.id, trip.to_station),
+                events[start + 2 * k],
+                events[start + 2 * k + 1],
                 trip.running_lo,
                 trip.running_hi,
             )
 
-    for train in trains:
-        for trip in train.route[:-1]:
+    for train, start in zip(trains, starts):
+        for k, trip in enumerate(train.route[:-1]):
             emit(
                 ConstraintKind.DWELL,
-                Event.arrival(train.id, trip.to_station),
-                Event.departure(train.id, trip.to_station),
+                events[start + 2 * k + 1],
+                events[start + 2 * k + 2],
                 trip.dwell_after_lo,
                 trip.dwell_after_hi,
             )
 
-    for ti, tj in pairs:
-        legs_j = legs[tj.id]
-        for leg, trip_i in legs[ti.id].items():
-            trip_j = legs_j.get(leg)
-            if trip_j is not None:
-                emit(
-                    ConstraintKind.HEADWAY,
-                    Event.departure(tj.id, leg[0]),
-                    Event.departure(ti.id, leg[0]),
-                    abs(trip_i.running_lo - trip_j.running_lo) + ti.basic_headway,
-                    T - tj.basic_headway,
-                )
+    for i, k, j, m in pairs(runners):
+        ti, tj = trains[i], trains[j]
+        emit(
+            ConstraintKind.HEADWAY,
+            events[starts[j] + 2 * m],
+            events[starts[i] + 2 * k],
+            abs(ti.route[k].running_lo - tj.route[m].running_lo) + ti.basic_headway,
+            T - tj.basic_headway,
+        )
 
-    for ti, tj in pairs:
-        legs_j = legs[tj.id]
-        for leg, trip_i in legs[ti.id].items():
-            trip_j = legs_j.get(leg[::-1]) if leg in single else None
-            if trip_j is not None:
-                emit(
-                    ConstraintKind.SINGLE_TRACK,
-                    Event.arrival(tj.id, leg[0]),
-                    Event.departure(ti.id, leg[0]),
-                    2 * min(trip_i.running_lo, trip_j.running_lo) + ti.basic_headway,
-                    T - tj.basic_headway,
-                )
+    opposing = {leg: runners[leg[::-1]] for leg in single if leg[::-1] in runners}
+    for i, k, j, m in pairs(opposing):
+        ti, tj = trains[i], trains[j]
+        emit(
+            ConstraintKind.SINGLE_TRACK,
+            events[starts[j] + 2 * m + 1],
+            events[starts[i] + 2 * k],
+            2 * min(ti.route[k].running_lo, tj.route[m].running_lo) + ti.basic_headway,
+            T - tj.basic_headway,
+        )
 
     for conn in sorted(
         instance.connections,
@@ -600,10 +619,14 @@ def evaluate(
     `weighted_fitness` of those counts.
     """
     period = tt.period
+    times = tt.times
     counts = {kind: 0 for kind in ConstraintKind}
     violated: list[Violation] = []
     for c in constraints:
-        raw = tt.of(c.later) - tt.of(c.earlier)
+        try:
+            raw = times[c.later] - times[c.earlier]
+        except KeyError:
+            raw = tt.of(c.later) - tt.of(c.earlier)  # raises MissingEvent naming the event
         if window_test(raw, c.lo, c.hi - c.lo, period):
             counts[c.kind] += 1
             violated.append(Violation(c, raw % period))

@@ -294,6 +294,14 @@ class TestRun:
         with pytest.raises(EvaluatorMismatch, match="running"):
             engine.run(inst, constraints, tiny_config())
 
+    @pytest.mark.parametrize("elites", [0, 1])
+    def test_step_on_a_spent_budget_is_refused(self, cs1, elites):
+        config = GaConfig(population_size=20, max_evaluations=20, elite_count=elites)
+        state = engine.init_state(cs1, model.derive_bounds(cs1), config)
+        with pytest.raises(ConfigInvalid, match="budget spent: 20 of 20 evaluations"):
+            engine.step_generation(state)
+        assert (state.evaluations_used, state.generation, len(state.population)) == (20, 0, 20)
+
     def test_unconstrained_instance_terminates_immediately(self):
         inst = make_instance(60, [Train("t", 3, (Trip("A", "B", 10, 12),))])
         result = engine.run(inst, model.derive_bounds(inst), tiny_config())

@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from perisched import codec, model, oracle
+from perisched import codec, instances, model, oracle
 from perisched.errors import (
     BoundInversion,
     MalformedInstance,
@@ -60,6 +64,18 @@ class TestEvalConstraint:
         tt = Timetable(60, {Event.arrival("i", "s"): 0})
         with pytest.raises(MissingEvent):
             model.evaluate(tt, [constraint(0, 5)], WeightConfig())
+
+    def test_missing_events_are_named(self):
+        # the constraint runs from i's arrival (earlier) to j's departure (later)
+        c = constraint(0, 5)
+        cases = [
+            ({c.earlier: 0}, "departure of train j"),
+            ({c.later: 0}, "arrival of train i"),
+            ({}, "departure of train j"),  # the later event is looked up first
+        ]
+        for times, named in cases:
+            with pytest.raises(MissingEvent, match=f"^timetable has no {named} at station s$"):
+                model.evaluate(Timetable(60, times), [c], WeightConfig())
 
     def test_negative_lower_bound(self):
         # window [-4, 4] mod 12 means "within 4 minutes either way"
@@ -285,6 +301,123 @@ class TestDeriveBounds:
         # within a kind, ordered by train id
         running_trains = [c.later.train for c in first if c.kind is ConstraintKind.RUNNING]
         assert running_trains == sorted(running_trains)
+
+
+def corridor_network() -> Instance:
+    """Nine lines run both ways over overlapping stretches of one
+    seven-station corridor, every third segment single-track: many trains
+    share each leg (340 headway and 164 single-track constraints), and ids
+    sort in another order than the trains are listed."""
+    stations = [f"C{k}" for k in range(7)]
+    segments = [
+        Segment(a, b, single_track=k % 3 == 2)
+        for k, (a, b) in enumerate(zip(stations, stations[1:]))
+    ]
+    trains = []
+    for line in range(9):
+        path = stations[line % 3 : line % 3 + 4 + line % 2]
+        for direction, stops in (("a", path), ("b", path[::-1])):
+            trips = []
+            for k, (x, y) in enumerate(zip(stops, stops[1:])):
+                lo = 4 + (line + k) % 3
+                dwell = (1, 2 + line % 2) if k < len(stops) - 2 else (None, None)
+                trips.append(Trip(x, y, lo, lo + 2, *dwell))
+            trains.append(Train(f"T{7 * line % 9}{direction}", 2 + line % 3, tuple(trips)))
+    connections = (ConnectionSpec("T0a", "T7b", "C3", 2, 9), ConnectionSpec("T5b", "T1a", "C2", 3, 12))
+    instance = Instance(60, tuple(stations), tuple(segments), tuple(trains), connections)
+    model.validate_instance(instance)
+    return instance
+
+
+def derivation_digest(instance: Instance) -> tuple[int, str]:
+    rows = [(c.kind.value, c.earlier, c.later, c.lo, c.hi) for c in model.derive_bounds(instance)]
+    return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def renamed(instance: Instance, tag: str) -> Instance:
+    """`instance` with `tag` put before every station and train id."""
+    def trip(t):
+        return dataclasses.replace(t, from_station=tag + t.from_station, to_station=tag + t.to_station)
+
+    return dataclasses.replace(
+        instance,
+        stations=tuple(tag + s for s in instance.stations),
+        segments=tuple(
+            Segment(tag + s.from_station, tag + s.to_station, s.single_track)
+            for s in instance.segments
+        ),
+        trains=tuple(
+            Train(tag + t.id, t.basic_headway, tuple(map(trip, t.route)))
+            for t in instance.trains
+        ),
+        connections=tuple(
+            dataclasses.replace(
+                c,
+                feeder_train=tag + c.feeder_train,
+                onward_train=tag + c.onward_train,
+                station=tag + c.station,
+            )
+            for c in instance.connections
+        ),
+    )
+
+
+def disjoint_copies(instance: Instance, k: int) -> Instance:
+    """k copies of `instance` side by side, copy c tagged ``c<c>:``."""
+    copies = [renamed(instance, f"c{c}:") for c in range(k)]
+    union = dataclasses.replace(
+        instance,
+        **{
+            part: tuple(x for copy in copies for x in getattr(copy, part))
+            for part in ("stations", "segments", "trains", "connections")
+        },
+    )
+    model.validate_instance(union)
+    return union
+
+
+class TestDerivationPins:
+    """`derive_bounds` output, order included, pinned to digests of the
+    derivation that tried every ordered pair of trains."""
+
+    @pytest.mark.parametrize(
+        "name,build,count,digest",
+        [
+            ("cs1", instances.build_cs1, 65,
+             "c8121db059a0c91100360d28478dac114d1d4fac614a5c414a9694f4761aed42"),
+            ("cs2", lambda: instances.load(instances.bundled_path("cs2")), 452,
+             "e4cb7b7124e39c1592552bffd538afd1f81206194888bfb5aa7f76fcc4844473"),
+            ("cs2-like-0", lambda: instances.generate_cs2_like(0), 452,
+             "e4cb7b7124e39c1592552bffd538afd1f81206194888bfb5aa7f76fcc4844473"),
+            ("cs2-like-1", lambda: instances.generate_cs2_like(1), 452,
+             "ccb067eaa09ed5a81ad66463b7461248466e55d9b5a6b8c8b48606e280db0430"),
+            ("cs2-like-2", lambda: instances.generate_cs2_like(2), 452,
+             "8050b4a3fff13bf45195dd7e023cfba72ca765116c9cefdc45ca971b7df6f3f5"),
+            ("corridor", corridor_network, 612,
+             "147b69e569bad7dbe2418160b4572d14852f6ca280633b969d862088dd9f03c1"),
+        ],
+    )
+    def test_derivation_is_pinned(self, name, build, count, digest):
+        assert derivation_digest(build()) == (count, digest)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_disjoint_copies_scale_linearly(self, cs1, k):
+        original = model.derive_bounds(cs1)
+        union = model.derive_bounds(disjoint_copies(cs1, k))
+        assert len(union) == k * len(original)
+        for c in range(k):
+            tag = f"c{c}:"
+            mine = [x for x in union if x.later.train.startswith(tag)]
+            assert all(x.earlier.train.startswith(tag) for x in mine)
+            expected = [
+                dataclasses.replace(
+                    x,
+                    earlier=x.earlier._replace(train=tag + x.earlier.train, station=tag + x.earlier.station),
+                    later=x.later._replace(train=tag + x.later.train, station=tag + x.later.station),
+                )
+                for x in original
+            ]
+            assert mine == expected
 
 
 class TestValidation:
