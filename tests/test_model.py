@@ -376,28 +376,30 @@ def disjoint_copies(instance: Instance, k: int) -> Instance:
     return union
 
 
-class TestDerivationPins:
-    """`derive_bounds` output, order included, pinned to digests of the
-    derivation that tried every ordered pair of trains."""
+# (network, constraint count, sha256 of `derivation_digest`'s rows), computed
+# with the derivation that tried every ordered pair of trains
+DERIVATION_PINS = {
+    "cs1": (instances.build_cs1, 65,
+            "c8121db059a0c91100360d28478dac114d1d4fac614a5c414a9694f4761aed42"),
+    "cs2": (lambda: instances.load(instances.bundled_path("cs2")), 452,
+            "e4cb7b7124e39c1592552bffd538afd1f81206194888bfb5aa7f76fcc4844473"),
+    "cs2-like-0": (lambda: instances.generate_cs2_like(0), 452,
+                   "e4cb7b7124e39c1592552bffd538afd1f81206194888bfb5aa7f76fcc4844473"),
+    "cs2-like-1": (lambda: instances.generate_cs2_like(1), 452,
+                   "ccb067eaa09ed5a81ad66463b7461248466e55d9b5a6b8c8b48606e280db0430"),
+    "cs2-like-2": (lambda: instances.generate_cs2_like(2), 452,
+                   "8050b4a3fff13bf45195dd7e023cfba72ca765116c9cefdc45ca971b7df6f3f5"),
+    "corridor": (corridor_network, 612,
+                 "147b69e569bad7dbe2418160b4572d14852f6ca280633b969d862088dd9f03c1"),
+}
 
-    @pytest.mark.parametrize(
-        "name,build,count,digest",
-        [
-            ("cs1", instances.build_cs1, 65,
-             "c8121db059a0c91100360d28478dac114d1d4fac614a5c414a9694f4761aed42"),
-            ("cs2", lambda: instances.load(instances.bundled_path("cs2")), 452,
-             "e4cb7b7124e39c1592552bffd538afd1f81206194888bfb5aa7f76fcc4844473"),
-            ("cs2-like-0", lambda: instances.generate_cs2_like(0), 452,
-             "e4cb7b7124e39c1592552bffd538afd1f81206194888bfb5aa7f76fcc4844473"),
-            ("cs2-like-1", lambda: instances.generate_cs2_like(1), 452,
-             "ccb067eaa09ed5a81ad66463b7461248466e55d9b5a6b8c8b48606e280db0430"),
-            ("cs2-like-2", lambda: instances.generate_cs2_like(2), 452,
-             "8050b4a3fff13bf45195dd7e023cfba72ca765116c9cefdc45ca971b7df6f3f5"),
-            ("corridor", corridor_network, 612,
-             "147b69e569bad7dbe2418160b4572d14852f6ca280633b969d862088dd9f03c1"),
-        ],
-    )
-    def test_derivation_is_pinned(self, name, build, count, digest):
+
+class TestDerivationPins:
+    """`derive_bounds` output, order included, is pinned."""
+
+    @pytest.mark.parametrize("name", DERIVATION_PINS)
+    def test_derivation_is_pinned(self, name):
+        build, count, digest = DERIVATION_PINS[name]
         assert derivation_digest(build()) == (count, digest)
 
     @pytest.mark.parametrize("k", [1, 3, 6])
