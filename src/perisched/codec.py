@@ -73,6 +73,14 @@ def accumulate_sections(times: np.ndarray, starts: np.ndarray) -> None:
 
     One cumulative sum runs over the whole row; subtracting each section's
     sum from the first column of the next section makes it restart there.
+
+    This row-major running sum serves `decode_array`, and so `decode` and
+    `CompiledProblem.decode_batch`. It suits one row: on one cs2 genotype
+    it takes about 12 us, against 15 us for the level-by-level scan of
+    `engine.CompiledProblem` (2-core x86 machine, numpy 2.4). Over a
+    whole population it is the slower layout, since numpy's int64
+    ``cumsum`` and ``add.reduceat`` are not vectorised, so batch fitness
+    does not use it.
     """
     times[..., starts[1:]] -= np.add.reduceat(times, starts, axis=-1)[..., :-1]
     np.cumsum(times, axis=-1, out=times)

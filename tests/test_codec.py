@@ -5,7 +5,7 @@ import pytest
 
 from perisched import codec, model
 from perisched.errors import OutOfBoundsGene
-from perisched.model import ConstraintKind, Event, Train, Trip
+from perisched.model import ConstraintKind, Event, EventKind, Train, Trip
 
 from conftest import make_instance
 
@@ -51,6 +51,21 @@ class TestGeneBounds:
             assert event.train == train.id
             if col % 8 == 0:
                 assert event == Event.departure(train.id, train.route[0].from_station)
+
+    def test_events_follow_each_journey(self, cs1, cs2, micro_instance):
+        for inst in (cs1, cs2, micro_instance):
+            expected = [
+                event
+                for train in inst.trains
+                for trip in train.route
+                for event in (
+                    Event.departure(train.id, trip.from_station),
+                    Event.arrival(train.id, trip.to_station),
+                )
+            ]
+            events = inst.event_index.events
+            assert list(events) == expected
+            assert all(type(e) is Event and type(e.kind) is EventKind for e in events)
 
     def test_index_arrays_are_read_only(self, cs1):
         cs1.event_index  # built before pickling, as in a sweep's parent process

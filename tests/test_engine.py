@@ -4,10 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from perisched import codec, engine, model, oracle
+from perisched import codec, engine, instances, model, oracle
 from perisched.engine import GaConfig, Termination
 from perisched.errors import ConfigInvalid, EvaluatorMismatch
-from perisched.model import Train, Trip
+from perisched.model import ConnectionSpec, Segment, Train, Trip
 
 from conftest import (
     MICRO_BUILDERS,
@@ -279,6 +279,124 @@ class TestCompiledProblem:
             tt = codec.decode(codec.Genotype(tuple(int(v) for v in genes[row])), cs2)
             report = model.evaluate(tt, constraints, cs2.weights)
             assert report.weighted_fitness == fitness[row]
+
+
+def assert_batch_is_scalar(problem, genes):
+    """Each row's batch counts and fitness equal those of `model.evaluate`
+    and `oracle.check_independent` on the decoded row."""
+    instance = problem.instance
+    constraints = model.derive_bounds(instance)
+    counts = problem.violation_counts(genes)
+    fitness = problem.fitness_batch(genes)
+    assert all(n.shape == (len(genes),) for n in counts.values())
+    for row, values in enumerate(genes):
+        tt = codec.decode(codec.Genotype(tuple(int(v) for v in values)), instance)
+        report = model.evaluate(tt, constraints, instance.weights)
+        assert {kind: int(n[row]) for kind, n in counts.items()} == report.violations_by_type
+        assert oracle.check_independent(tt, instance).violations_by_type == report.violations_by_type
+        assert fitness[row] == report.weighted_fitness
+
+
+def huge_period_instance():
+    """All five families at a period just below `model.INT_CAP`, with
+    running and dwell windows reaching just below the period, so that genes
+    and their prefix sums reach the sizes the loader admits."""
+    T = model.INT_CAP - 1
+    return make_instance(
+        T,
+        trains=[
+            Train("X", 2**20, (Trip("A", "B", 1, T - 1, 0, T - 1), Trip("B", "C", T // 2, T - 1))),
+            Train("Y", 2**30, (Trip("C", "B", 1, T - 1, T - 2, T - 1), Trip("B", "A", 1, 2))),
+            Train("Z", 2**29, (Trip("A", "B", 2**30, T - 1),)),
+        ],
+        segments=[Segment("B", "C", single_track=True)],
+        connections=[ConnectionSpec("X", "Y", "B", 5, T - 3)],
+    )
+
+
+class TestKernelEdges:
+    """`CompiledProblem.violation_counts` at the edges of its layout."""
+
+    def test_no_pairwise_constraint_gives_an_empty_plan(self):
+        inst = make_instance(60, [Train("t", 3, (Trip("A", "B", 10, 12, 1, 2), Trip("B", "C", 5, 6)))])
+        problem = engine.CompiledProblem(inst, model.derive_bounds(inst))
+        assert (len(problem.kept), problem.levels) == (0, [])
+        genes = problem.random_population(5, np.random.default_rng(0))
+        assert all(np.array_equal(n, np.zeros(5)) for n in problem.violation_counts(genes).values())
+        assert_batch_is_scalar(problem, genes)
+
+    def test_one_row_batch(self, cs2):
+        problem = engine.CompiledProblem(cs2, model.derive_bounds(cs2))
+        assert_batch_is_scalar(problem, problem.random_population(1, np.random.default_rng(1)))
+
+    def test_non_contiguous_rows(self, cs2):
+        problem = engine.CompiledProblem(cs2, model.derive_bounds(cs2))
+        population = problem.random_population(16, np.random.default_rng(2))
+        view = population[::2]
+        assert not view.flags.c_contiguous
+        contiguous = problem.violation_counts(np.ascontiguousarray(view))
+        counts = problem.violation_counts(view)
+        assert all(np.array_equal(counts[kind], contiguous[kind]) for kind in model.ConstraintKind)
+        assert_batch_is_scalar(problem, view)
+
+    def test_period_near_the_cap(self):
+        inst = huge_period_instance()
+        model.validate_instance(inst)
+        constraints = model.derive_bounds(inst)
+        assert {c.kind for c in constraints} == set(model.ConstraintKind)
+        problem = engine.CompiledProblem(inst, constraints)
+        genes = np.vstack([
+            problem.random_population(20, np.random.default_rng(3)),
+            problem.gene_lo,
+            problem.gene_hi,
+        ])
+        assert_batch_is_scalar(problem, genes)
+
+
+def fitness_digest(instance, weights) -> str:
+    """Digest of `fitness_batch` over seeded random populations of 1, 13
+    and 200 rows, each followed by the rows at `gene_lo` and `gene_hi`."""
+    instance = dataclasses.replace(instance, weights=weights)
+    problem = engine.CompiledProblem(instance, model.derive_bounds(instance))
+    digest = hashlib.sha256()
+    for seed, size in enumerate((1, 13, 200)):
+        genes = np.vstack([
+            problem.random_population(size, np.random.default_rng(seed)),
+            problem.gene_lo,
+            problem.gene_hi,
+        ])
+        fitness = problem.fitness_batch(genes)
+        digest.update(fitness.dtype.str.encode() + fitness.tobytes())
+    return digest.hexdigest()[:16]
+
+
+PIN_NETWORKS = {
+    "cs1": instances.build_cs1,
+    "cs2": lambda: instances.load(instances.bundled_path("cs2")),
+    "cs2-like-3": lambda: instances.generate_cs2_like(3),
+}
+PIN_WEIGHTS = {
+    "default": model.WeightConfig(),
+    "fractional": model.WeightConfig(headway=10.1, single_track=10.3, connection=0.7),
+}
+# (network, weights) -> `fitness_digest`, computed with the row-major kernel
+# that accumulated each section by a restart-and-cumsum and tested windows
+# with int64 `%`
+FITNESS_PINS = {
+    ("cs1", "default"): "0cdf9da082b9cc0f",
+    ("cs1", "fractional"): "5d0cfb685d3103e0",
+    ("cs2", "default"): "d95ef675da29ccc4",
+    ("cs2", "fractional"): "60e204ad4bb10a63",
+    ("cs2-like-3", "default"): "9833d5bae62efcf6",
+    ("cs2-like-3", "fractional"): "cff4a2199ac12a3d",
+}
+
+
+@pytest.mark.parametrize("network,weights", FITNESS_PINS)
+def test_fitness_is_pinned(network, weights):
+    """Batch fitness, bytes and dtype included, is pinned."""
+    digest = fitness_digest(PIN_NETWORKS[network](), PIN_WEIGHTS[weights])
+    assert digest == FITNESS_PINS[network, weights]
 
 
 class TestRun:

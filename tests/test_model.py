@@ -96,6 +96,22 @@ class TestEvalConstraint:
                     held = oracle._wrap_trial(y - x, lo, hi, period)
                     assert np.array_equal(~violated, held), (period, lo, hi)
 
+    @pytest.mark.parametrize("period", [2, 60, model.INT_CAP - 1])
+    def test_rule_on_int64_arrays_is_python_modulo(self, period):
+        # the rule's floor-division residue, on int64 arrays and on ints,
+        # against Python's `%` on ints, for huge and negative differences
+        def spread(lo, hi):  # all of a short range, else its ends and middle
+            return range(lo, hi + 1) if hi - lo < 200 else sorted({lo, lo + 1, (lo + hi) // 2, hi - 1, hi})
+
+        raw = [-(2**40), 1 - 2**40, -period - 1, -period, -1, 0, 1, period - 1, period, period + 1]
+        raw += [2**40 - 1, 2**40] + np.random.default_rng(period).integers(-(2**40), 2**40, 20).tolist()
+        los, widths = spread(1 - period, period - 1), spread(0, period - 1)
+        grid = np.meshgrid(np.array(raw, dtype=np.int64), los, widths, indexing="ij")
+        expected = [[[(r - lo) % period > w for w in widths] for lo in los] for r in raw]
+        assert model.window_test(*grid, period).tolist() == expected
+        scalar = [[[model.window_test(r, lo, w, period) for w in widths] for lo in los] for r in raw]
+        assert scalar == expected
+
 
 class TestEvaluate:
     def test_all_satisfied(self, cs1):
