@@ -7,7 +7,7 @@ algorithm. Includes an exhaustive oracle for small instances, bundled
 benchmark networks and a CLI experiment harness.
 """
 
-from .codec import GeneBounds, Genotype, decode, gene_bounds, random_genotype
+from .codec import Genotype, decode, gene_bounds, random_genotype
 from .engine import GaConfig, RunResult, Termination, run
 from .errors import (
     BoundInversion,
@@ -58,7 +58,6 @@ __all__ = [
     "Event",
     "EventKind",
     "GaConfig",
-    "GeneBounds",
     "GenerationInfeasible",
     "Genotype",
     "Instance",

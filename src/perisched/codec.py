@@ -17,15 +17,7 @@ import numpy as np
 from .errors import OutOfBoundsGene
 from .model import Instance, Timetable
 
-__all__ = [
-    "GeneBounds",
-    "Genotype",
-    "gene_bounds",
-    "decode",
-    "decode_array",
-    "accumulate_sections",
-    "random_genotype",
-]
+__all__ = ["Genotype", "gene_bounds", "decode", "decode_array", "random_genotype"]
 
 
 @dataclass(frozen=True)
@@ -36,54 +28,34 @@ class Genotype:
         return len(self.genes)
 
 
-@dataclass(frozen=True)
-class GeneBounds:
-    """Inclusive per-gene ranges, parallel to the genotype layout."""
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.lo)
-
-
-def gene_bounds(instance: Instance) -> GeneBounds:
-    """Per-gene ranges of an instance (`EventIndex.gene_lo`/`gene_hi`)."""
+def gene_bounds(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Per-gene inclusive ranges of an instance: its event index's own
+    read-only `gene_lo` and `gene_hi` arrays."""
     index = instance.event_index
-    return GeneBounds(tuple(index.gene_lo.tolist()), tuple(index.gene_hi.tolist()))
+    return index.gene_lo, index.gene_hi
 
 
 def decode_array(genes: np.ndarray, instance: Instance) -> np.ndarray:
     """Event times encoded by a genotype (1-D) or by each row of a matrix
     of genotypes (2-D); the last axis runs over gene/event columns.
 
-    Within each train section the genes are accumulated in order
-    (`accumulate_sections`) and every prefix sum, reduced mod the period,
-    becomes the next event time.
+    Within each train section the genes are accumulated in order and every
+    prefix sum, reduced mod the period, becomes the next event time. One
+    cumulative sum runs over the whole row; subtracting each section's sum
+    from the first column of the next section makes it restart there.
+
+    This row-major running sum suits one row: on one cs2 genotype it takes
+    about 12 us, against 15 us for the level-by-level scan of
+    `engine.CompiledProblem` (2-core x86 machine, numpy 2.4). Over a whole
+    population it is the slower layout, since numpy's int64 ``cumsum`` and
+    ``add.reduceat`` are not vectorised, so batch fitness does not use it.
     """
     times = np.array(genes, dtype=np.int64)
-    accumulate_sections(times, instance.event_index.section_offsets)
-    times %= instance.period
-    return times
-
-
-def accumulate_sections(times: np.ndarray, starts: np.ndarray) -> None:
-    """Replace `times` in place by its prefix sums along the last axis,
-    restarting at every column in `starts` (ascending, the first 0).
-
-    One cumulative sum runs over the whole row; subtracting each section's
-    sum from the first column of the next section makes it restart there.
-
-    This row-major running sum serves `decode_array`, and so `decode` and
-    `CompiledProblem.decode_batch`. It suits one row: on one cs2 genotype
-    it takes about 12 us, against 15 us for the level-by-level scan of
-    `engine.CompiledProblem` (2-core x86 machine, numpy 2.4). Over a
-    whole population it is the slower layout, since numpy's int64
-    ``cumsum`` and ``add.reduceat`` are not vectorised, so batch fitness
-    does not use it.
-    """
+    starts = instance.event_index.section_offsets
     times[..., starts[1:]] -= np.add.reduceat(times, starts, axis=-1)[..., :-1]
     np.cumsum(times, axis=-1, out=times)
+    times %= instance.period
+    return times
 
 
 def decode(genotype: Genotype, instance: Instance) -> Timetable:
@@ -108,9 +80,11 @@ def decode(genotype: Genotype, instance: Instance) -> Timetable:
     return Timetable(instance.period, dict(zip(index.events, times.tolist())))
 
 
-def random_genotype(bounds: GeneBounds, rng: np.random.Generator) -> Genotype:
-    """Uniform in-bounds genotype; same generator state, same genes."""
-    lo = np.asarray(bounds.lo)
-    hi = np.asarray(bounds.hi)
-    genes = rng.integers(lo, hi + 1)
-    return Genotype(tuple(int(g) for g in genes))
+def random_genotype(
+    bounds: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
+) -> Genotype:
+    """Uniform genotype within `bounds`, a (lo, hi) pair of per-gene
+    inclusive ranges as `gene_bounds` returns; same generator state, same
+    genes."""
+    lo, hi = (np.asarray(b) for b in bounds)
+    return Genotype(tuple(rng.integers(lo, hi + 1).tolist()))

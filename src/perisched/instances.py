@@ -223,9 +223,7 @@ def _instance_from_document(doc) -> Instance:
 
     weights = WeightConfig()
     if "weights" in doc:
-        wobj = doc["weights"]
-        if not isinstance(wobj, dict):
-            raise ValidationError("weights must be an object")
+        wobj = _an_object(doc["weights"], ("weights",))
         _reject_unknown(wobj, {kind.value for kind in ConstraintKind}, ("weights",))
         fields = {}
         for name, value in wobj.items():
@@ -236,10 +234,8 @@ def _instance_from_document(doc) -> Instance:
 
     meta = InstanceMeta()
     if "metadata" in doc:
-        mobj = doc["metadata"]
-        if not isinstance(mobj, dict):
-            raise ValidationError("metadata must be an object")
         where = ("metadata",)
+        mobj = _an_object(doc["metadata"], where)
         _reject_unknown(mobj, {"name", "synthetic", "notes"}, where)
         meta = InstanceMeta(
             name=_a_str(mobj.get("name", ""), where, "name"),
@@ -622,10 +618,11 @@ def _edge(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _walk(rng, length: int, used: set, start: str | None = None) -> list[str] | None:
-    """Random simple path with `length` edges, none previously used."""
+def _walk(rng, length: int, used: set, path: list[str] | None = None) -> list[str] | None:
+    """Random simple path with `length` edges, none previously used, that
+    extends `path` (by default one random station)."""
     stations = _CS2_STATIONS
-    path = [start if start is not None else stations[rng.integers(len(stations))]]
+    path = path or [stations[rng.integers(len(stations))]]
     for _ in range(length):
         options = [
             s
@@ -646,21 +643,11 @@ def _walk_through(rng, length: int, used: set, shared: tuple[str, str]):
         u, v = v, u
     prefix_len = int(rng.integers(0, length))  # edges before the shared one
     suffix_len = length - 1 - prefix_len
-    head = _walk(rng, prefix_len, used | {_edge(u, v)}, start=u)
+    head = _walk(rng, prefix_len, used | {_edge(u, v)}, [u])
     if head is None or v in head:
         return None
     head.reverse()  # walked outward from u; route runs toward u
-    path = head + [v]
-    for _ in range(suffix_len):
-        options = [
-            s
-            for s in _CS2_STATIONS
-            if s not in path and _edge(path[-1], s) not in used
-        ]
-        if not options:
-            return None
-        path.append(options[rng.integers(len(options))])
-    return path
+    return _walk(rng, suffix_len, used, head + [v])
 
 
 def generate_cs2_like(seed: int) -> Instance:

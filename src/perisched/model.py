@@ -287,10 +287,6 @@ class EvaluationReport:
     def feasible(self) -> bool:
         return self.hard_violations == 0
 
-    @property
-    def feasible_with_connections(self) -> bool:
-        return self.hard_violations == 0 and self.soft_violations == 0
-
 
 #: Exclusive upper bound on the period and on integer weights.
 INT_CAP = 2**31
@@ -660,15 +656,4 @@ def expand_periods(tt: Timetable, k: int) -> list[tuple[int, Event]]:
         raise ValueError(f"need at least one period, got k={k}")
     return sorted(
         (t + p * tt.period, event) for event, t in tt.times.items() for p in range(k)
-    )
-
-
-def random_timetable(
-    instance: Instance, rng: np.random.Generator
-) -> Timetable:
-    """Uniform random canonical time for every event; a test utility."""
-    events = instance.event_index.events
-    times = rng.integers(0, instance.period, size=len(events))
-    return Timetable(
-        instance.period, {e: int(t) for e, t in zip(events, times)}
     )

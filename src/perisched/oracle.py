@@ -39,8 +39,9 @@ def lattice(lo: int, hi: int, stride: int) -> tuple[int, ...]:
 
 
 def lattice_size(instance: model.Instance, stride: int = 1) -> int:
-    bounds = codec.gene_bounds(instance)
-    return math.prod(len(lattice(lo, hi, stride)) for lo, hi in zip(bounds.lo, bounds.hi))
+    layout = instance.event_index
+    windows = zip(layout.gene_lo.tolist(), layout.gene_hi.tolist())
+    return math.prod(len(lattice(lo, hi, stride)) for lo, hi in windows)
 
 
 def _wrap_trial(raw, lo, hi, period):
@@ -65,8 +66,9 @@ def exhaustive_min(
     lexicographically smallest minimizer: enumeration is lexicographic and
     only strict improvements replace the best.
     """
-    bounds = codec.gene_bounds(instance)
-    axes = [np.asarray(lattice(lo, hi, stride)) for lo, hi in zip(bounds.lo, bounds.hi)]
+    layout = instance.event_index
+    windows = zip(layout.gene_lo.tolist(), layout.gene_hi.tolist())
+    axes = [np.asarray(lattice(lo, hi, stride)) for lo, hi in windows]
     shape = tuple(len(a) for a in axes)
     size = math.prod(shape)
     if size > space_cap:

@@ -7,6 +7,7 @@ from perisched.model import (
     ConnectionSpec,
     Instance,
     Segment,
+    Timetable,
     Train,
     Trip,
     WeightConfig,
@@ -28,6 +29,13 @@ def make_instance(period, trains, segments=(), connections=(), weights=None):
         connections=tuple(connections),
         weights=weights or WeightConfig(),
     )
+
+
+def random_timetable(instance, rng):
+    """Uniform random canonical time for every event of the instance."""
+    events = instance.event_index.events
+    times = rng.integers(0, instance.period, size=len(events))
+    return Timetable(instance.period, dict(zip(events, times.tolist())))
 
 
 @pytest.fixture(scope="session")

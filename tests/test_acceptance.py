@@ -14,7 +14,7 @@ from perisched import cli, codec, engine, instances, model, oracle
 from perisched.cli import ExperimentSpec, aggregate, detail_csv, run_experiment
 from perisched.model import ConstraintKind, Timetable
 
-from conftest import MICRO_BUILDERS
+from conftest import MICRO_BUILDERS, random_timetable
 
 
 def report(criterion: str, text: str) -> None:
@@ -100,7 +100,7 @@ def test_criterion_4_checker_equivalence(bundled):
         constraints = model.derive_bounds(inst)
         rng = np.random.default_rng(101)
         for _ in range(10_000):
-            tt = model.random_timetable(inst, rng)
+            tt = random_timetable(inst, rng)
             ours = model.evaluate(tt, constraints, inst.weights)
             theirs = oracle.check_independent(tt, inst)
             assert ours.violations_by_type == theirs.violations_by_type, name
@@ -147,7 +147,7 @@ def test_criterion_6_shift_invariance(bundled):
         constraints = model.derive_bounds(inst)
         rng = np.random.default_rng(303)
         for _ in range(1_000):
-            tt = model.random_timetable(inst, rng)
+            tt = random_timetable(inst, rng)
             delta = int(rng.integers(-3 * inst.period, 3 * inst.period))
             before = model.evaluate(tt, constraints, inst.weights)
             shifted = model.shift_timetable(tt, delta)

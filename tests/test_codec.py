@@ -1,9 +1,10 @@
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
 
-from perisched import codec, model
+from perisched import codec, instances, model
 from perisched.errors import OutOfBoundsGene
 from perisched.model import ConstraintKind, Event, EventKind, Train, Trip
 
@@ -22,12 +23,12 @@ def two_trip_instance():
 
 class TestGeneBounds:
     def test_single_trip_layout(self):
-        bounds = codec.gene_bounds(single_trip_instance())
-        assert list(zip(bounds.lo, bounds.hi)) == [(0, 59), (10, 12)]
+        index = single_trip_instance().event_index
+        assert list(zip(index.gene_lo.tolist(), index.gene_hi.tolist())) == [(0, 59), (10, 12)]
 
     def test_two_trips_give_four_genes(self):
-        bounds = codec.gene_bounds(two_trip_instance())
-        assert list(zip(bounds.lo, bounds.hi)) == [
+        index = two_trip_instance().event_index
+        assert list(zip(index.gene_lo.tolist(), index.gene_hi.tolist())) == [
             (0, 59),
             (8, 12),
             (2, 4),
@@ -37,14 +38,14 @@ class TestGeneBounds:
     def test_length_is_twice_total_trips(self, cs1, cs2):
         for inst in (cs1, cs2):
             expected = sum(2 * len(t.route) for t in inst.trains)
-            assert len(codec.gene_bounds(inst)) == expected
-        assert len(codec.gene_bounds(cs1)) == 64
+            assert len(inst.event_index.gene_lo) == expected
+        assert len(cs1.event_index.gene_lo) == 64
 
     def test_section_offsets(self, cs1):
         # every cs1 train has four trips: eight columns per section
         index = cs1.event_index
         assert index.section_offsets.tolist() == list(range(0, 64, 8))
-        assert len(index.events) == len(codec.gene_bounds(cs1)) == 64
+        assert len(index.events) == len(index.gene_lo) == 64
         for col, event in enumerate(index.events):
             assert index.column[event] == col
             train = cs1.trains[col // 8]
@@ -150,7 +151,7 @@ class TestDecode:
 
 class TestRandomGenotype:
     def test_degenerate_bounds_give_unique_genotype(self):
-        bounds = codec.GeneBounds((4, 7), (4, 7))
+        bounds = ((4, 7), (4, 7))
         g = codec.random_genotype(bounds, np.random.default_rng(0))
         assert g.genes == (4, 7)
 
@@ -160,8 +161,17 @@ class TestRandomGenotype:
         b = codec.random_genotype(bounds, np.random.default_rng(42))
         assert a == b
 
+    @pytest.mark.parametrize("name,pin", [("cs1", "0c8fd6be1c504730"), ("cs2", "7e8692e14ab08be3")])
+    def test_draws_are_pinned(self, name, pin):
+        # the benchmark draws its cross-check timetables from this stream
+        inst = instances.load(instances.bundled_path(name))
+        bounds = codec.gene_bounds(inst)
+        rng = np.random.default_rng(7)
+        genes = np.array([codec.random_genotype(bounds, rng).genes for _ in range(64)])
+        assert hashlib.sha256(genes.astype(np.int64).tobytes()).hexdigest()[:16] == pin
+
     def test_roughly_uniform_over_range(self):
-        bounds = codec.GeneBounds((0,), (59,))
+        bounds = ((0,), (59,))
         rng = np.random.default_rng(1)
         counts = np.zeros(60, dtype=int)
         n = 12000

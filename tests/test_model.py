@@ -25,7 +25,7 @@ from perisched.model import (
     WeightConfig,
 )
 
-from conftest import make_instance
+from conftest import make_instance, random_timetable
 
 
 def constraint(lo, hi, kind=ConstraintKind.CONNECTION):
@@ -121,7 +121,7 @@ class TestEvaluate:
         report = model.evaluate(tt, model.derive_bounds(cs1), cs1.weights)
         assert report.weighted_fitness == 0
         assert all(v == 0 for v in report.violations_by_type.values())
-        assert report.feasible and report.feasible_with_connections
+        assert report.feasible and report.soft_violations == 0
 
     def test_weighted_sum_arithmetic(self):
         tt = Timetable(
@@ -153,7 +153,7 @@ class TestEvaluate:
 
         rng = np.random.default_rng(5)
         constraints = model.derive_bounds(micro_instance)
-        tt = model.random_timetable(micro_instance, rng)
+        tt = random_timetable(micro_instance, rng)
         base = model.evaluate(tt, constraints, micro_instance.weights).weighted_fitness
         for field in ("running", "dwell", "headway", "single_track", "connection"):
             heavier = dataclasses.replace(
@@ -170,7 +170,7 @@ class TestEvaluate:
 
 class TestShiftTimetable:
     def test_zero_and_full_period_shift_are_identity(self, micro_instance):
-        tt = model.random_timetable(micro_instance, np.random.default_rng(0))
+        tt = random_timetable(micro_instance, np.random.default_rng(0))
         T = micro_instance.period
         assert model.shift_timetable(tt, 0) == tt
         assert model.shift_timetable(tt, T) == tt
@@ -181,7 +181,7 @@ class TestShiftTimetable:
         constraints = model.derive_bounds(micro_instance)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            tt = model.random_timetable(micro_instance, rng)
+            tt = random_timetable(micro_instance, rng)
             delta = int(rng.integers(-2 * T, 2 * T))
             before = model.evaluate(tt, constraints, micro_instance.weights)
             after = model.evaluate(
@@ -201,7 +201,7 @@ class TestExpandPeriods:
         assert rendered == ["8:46", "9:46"]
 
     def test_single_period_is_canonical_pattern(self, micro_instance):
-        tt = model.random_timetable(micro_instance, np.random.default_rng(2))
+        tt = random_timetable(micro_instance, np.random.default_rng(2))
         entries = model.expand_periods(tt, 1)
         assert sorted(t for t, _ in entries) == sorted(tt.times.values())
         assert len(entries) == len(tt.times)
@@ -216,7 +216,7 @@ class TestExpandPeriods:
         assert [t for t, _ in model.expand_periods(tt, 3)] == [5, 17, 29]
 
     def test_sorted_by_absolute_time(self, cs1):
-        tt = model.random_timetable(cs1, np.random.default_rng(3))
+        tt = random_timetable(cs1, np.random.default_rng(3))
         times = [t for t, _ in model.expand_periods(tt, 4)]
         assert times == sorted(times)
 

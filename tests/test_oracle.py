@@ -8,7 +8,12 @@ from perisched import codec, model, oracle
 from perisched.errors import SpaceTooLarge
 from perisched.model import Event, Timetable, Train, Trip
 
-from conftest import MICRO_BUILDERS, make_instance, micro_unsat_connection
+from conftest import (
+    MICRO_BUILDERS,
+    make_instance,
+    micro_unsat_connection,
+    random_timetable,
+)
 
 
 class TestLattice:
@@ -58,9 +63,10 @@ class TestExhaustiveMin:
     def test_witness_is_lexicographically_smallest(self):
         inst = micro_unsat_connection()
         best, witness = oracle.exhaustive_min(inst)
-        bounds = codec.gene_bounds(inst)
+        index = inst.event_index
         constraints = model.derive_bounds(inst)
-        axes = [oracle.lattice(lo, hi, 1) for lo, hi in zip(bounds.lo, bounds.hi)]
+        windows = zip(index.gene_lo.tolist(), index.gene_hi.tolist())
+        axes = [oracle.lattice(lo, hi, 1) for lo, hi in windows]
         minimizers = [
             combo
             for combo in itertools.product(*axes)
@@ -94,7 +100,7 @@ class TestIndependence:
         reference = {}
         for name, build in MICRO_BUILDERS.items():
             inst = build()
-            tt = model.random_timetable(inst, np.random.default_rng(31))
+            tt = random_timetable(inst, np.random.default_rng(31))
             ours = model.evaluate(tt, model.derive_bounds(inst), inst.weights)
             reference[name] = (inst, tt, ours.violations_by_type)
 
@@ -116,7 +122,7 @@ class TestCheckIndependent:
         constraints = model.derive_bounds(micro_instance)
         rng = np.random.default_rng(17)
         for _ in range(400):
-            tt = model.random_timetable(micro_instance, rng)
+            tt = random_timetable(micro_instance, rng)
             ours = model.evaluate(tt, constraints, micro_instance.weights)
             theirs = oracle.check_independent(tt, micro_instance)
             assert ours.violations_by_type == theirs.violations_by_type
@@ -142,7 +148,7 @@ class TestCheckIndependent:
         rng = np.random.default_rng(23)
         events = micro_instance.event_index.events
         for _ in range(60):
-            tt = model.random_timetable(micro_instance, rng)
+            tt = random_timetable(micro_instance, rng)
             event = events[rng.integers(len(events))]
             bumped = dict(tt.times)
             bumped[event] = (bumped[event] + 1) % micro_instance.period
@@ -163,7 +169,7 @@ class TestCheckIndependent:
         constraints = model.derive_bounds(inst)
         rng = np.random.default_rng(29)
         for _ in range(300):
-            tt = model.random_timetable(inst, rng)
+            tt = random_timetable(inst, rng)
             ours = model.evaluate(tt, constraints, inst.weights)
             theirs = oracle.check_independent(tt, inst)
             assert ours.violations_by_type == theirs.violations_by_type
@@ -180,7 +186,7 @@ class TestCheckIndependent:
         constraints = model.derive_bounds(inst)
         rng = np.random.default_rng(29)
         for _ in range(100):
-            tt = model.random_timetable(inst, rng)
+            tt = random_timetable(inst, rng)
             ours = model.evaluate(tt, constraints, inst.weights)
             theirs = oracle.check_independent(tt, inst)
             assert ours.violations_by_type == theirs.violations_by_type
@@ -191,7 +197,7 @@ class TestCheckIndependent:
         model.validate_instance(variant)
         assert hash(variant) == hash(cs1) and variant != cs1
         rng = np.random.default_rng(43)
-        timetables = [model.random_timetable(cs1, rng) for _ in range(20)]
+        timetables = [random_timetable(cs1, rng) for _ in range(20)]
         expected = {}
         for inst in (cs1, variant):
             oracle._checks.cache_clear()

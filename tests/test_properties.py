@@ -24,7 +24,7 @@ from perisched.model import (
     WeightConfig,
 )
 
-from conftest import MICRO_BUILDERS, run_answer
+from conftest import MICRO_BUILDERS, random_timetable, run_answer
 
 STATIONS = "ABCDEF"
 BRANCH = "GHI"  # stations of a train that shares no track and no transfer
@@ -139,6 +139,30 @@ def test_batch_fitness_is_the_scalar_fitness(instance, seed):
         batch_counts = {kind: int(n[row]) for kind, n in counts.items()}
         assert batch_counts == report.violations_by_type
         assert batch_counts == oracle.check_independent(tt, instance).violations_by_type
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_decode_array_is_a_running_sum_per_section(instance, seed, rows):
+    index = instance.event_index
+    genes = np.vstack([
+        np.random.default_rng(seed).integers(
+            index.gene_lo, index.gene_hi + 1, size=(rows, len(index.events))
+        ),
+        index.gene_lo,
+        index.gene_hi,
+    ])
+    times = codec.decode_array(genes, instance)
+    starts = index.section_offsets.tolist()
+    for row, decoded in zip(genes, times):
+        assert np.array_equal(codec.decode_array(row, instance), decoded)
+        expected = []
+        for start, end in zip(starts, [*starts[1:], len(row)]):
+            total = 0
+            for gene in row[start:end].tolist():
+                total += gene
+                expected.append(total % instance.period)
+        assert decoded.tolist() == expected
 
 
 def unread_columns(instance: Instance, constraints) -> list[int]:
@@ -263,7 +287,7 @@ def test_documents_round_trip(instance):
 @given(instances(), st.integers(0, 2**32 - 1), st.integers(-100, 100))
 def test_shift_keeps_family_counts(instance, seed, delta):
     constraints = model.derive_bounds(instance)
-    tt = model.random_timetable(instance, np.random.default_rng(seed))
+    tt = random_timetable(instance, np.random.default_rng(seed))
     shifted = model.shift_timetable(tt, delta)
     counts = model.evaluate(tt, constraints, instance.weights).violations_by_type
     assert model.evaluate(shifted, constraints, instance.weights).violations_by_type == counts
@@ -356,7 +380,7 @@ def test_mutated_timetable_documents_raise_named_errors(
     tmp_path_factory, instance, seed, data
 ):
     path = tmp_path_factory.mktemp("timetable") / "tt.json"
-    tt = model.random_timetable(instance, np.random.default_rng(seed))
+    tt = random_timetable(instance, np.random.default_rng(seed))
     save_timetable(tt, path)
     assert load_timetable(path, instance) == tt
     doc = json.loads(path.read_text())

@@ -1,0 +1,62 @@
+"""The public surface: exported names resolve, removed names stay gone, and
+the members `benchmarks/run.py` looks up or wraps still exist."""
+
+import numpy as np
+import pytest
+
+import perisched
+from perisched import cli, codec, engine, instances, model, oracle
+
+
+@pytest.mark.parametrize("module", [perisched, codec, oracle, instances], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    for name in module.__all__:
+        assert getattr(module, name, None) is not None, name
+
+
+REMOVED = [
+    (codec, "GeneBounds"),
+    (codec, "accumulate_sections"),
+    (model.EvaluationReport, "feasible_with_connections"),
+    (model, "random_timetable"),
+]
+
+
+@pytest.mark.parametrize("owner,name", REMOVED, ids=[name for _, name in REMOVED])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(perisched, name) and name not in perisched.__all__
+    assert name not in getattr(owner, "__all__", ())
+
+
+# (owner, attribute) pairs that the benchmark wraps through `owner.__dict__`
+BENCHMARK_WRAPS = [
+    (instances, "load"),
+    (instances, "loads"),
+    (model, "derive_bounds"),
+    (engine.CompiledProblem, "__init__"),
+    (engine.CompiledProblem, "decode_batch"),
+    (engine.CompiledProblem, "fitness_batch"),
+    (engine, "init_state"),
+    (engine, "step_generation"),
+    (engine, "run"),
+    (codec, "decode"),
+    (model, "evaluate"),
+    (oracle, "check_independent"),
+    (cli, "run_experiment"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner,name", BENCHMARK_WRAPS, ids=[f"{o.__name__}.{n}" for o, n in BENCHMARK_WRAPS]
+)
+def test_benchmark_wraps_resolve(owner, name):
+    assert callable(owner.__dict__[name])
+
+
+def test_benchmark_genotype_stream_resolves(cs1):
+    lo, hi = codec.gene_bounds(cs1)
+    assert lo is cs1.event_index.gene_lo and hi is cs1.event_index.gene_hi
+    genotype = codec.random_genotype((lo, hi), np.random.default_rng(0))
+    assert isinstance(genotype, codec.Genotype) and len(genotype) == 64
+    assert all(type(g) is int for g in genotype.genes)
