@@ -292,18 +292,24 @@ class EvaluationReport:
 INT_CAP = 2**31
 
 
+def check_period(period: int) -> None:
+    """Raise ValidationError unless ``2 <= period < INT_CAP``."""
+    if not 2 <= period < INT_CAP:
+        raise ValidationError(f"period must be in [2, 2**31), got {period}")
+
+
 def validate_instance(instance: Instance) -> None:
     """Check every structural invariant, raising ValidationError (or the
     MalformedInstance subclass for dangling references) with a message
     naming the offending element.
 
     The period and integer weights must lie below `INT_CAP` (2**31), so every
-    gene and weight does. Then the batched int64 arithmetic stays exact: a
-    prefix sum over n genes, or a weighted count over n constraints, stays
-    below n * 2**31 < 2**63 for any n under 2**32, far more than fits in memory.
+    gene and weight does. Then a gene fits an int32 exactly, and the batched
+    int64 arithmetic stays exact: a prefix sum over n genes, or a weighted
+    count over n constraints, stays below n * 2**31 < 2**63 for any n under
+    2**32, far more than fits in memory.
     """
-    if not 2 <= instance.period < INT_CAP:
-        raise ValidationError(f"period must be in [2, 2**31), got {instance.period}")
+    check_period(instance.period)
 
     stations = instance.stations
     if len(set(stations)) != len(stations):
@@ -577,7 +583,7 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     return out
 
 
-def window_test(raw, lo, width, period):
+def window_test(raw, lo, width, period, scratch=None, out=None):
     """The periodic window rule, on ints or elementwise on numpy arrays.
 
     True where the difference ``raw = time(later) - time(earlier)`` misses
@@ -589,11 +595,23 @@ def window_test(raw, lo, width, period):
     this. The residue is taken as ``d - d // period * period``, which equals
     ``d % period`` for Python ints and numpy int64 alike (both floor).
     numpy has a fast path for int64 ``//`` by a scalar and none for ``%``,
-    so on a dense population's 310 x 299 pair matrix this form takes 0.3
-    to 0.5 ms against 0.7 to 1.6 ms (2-core x86, numpy 2.4).
+    so on a dense population's 310 x 300 pair matrix this form is 1.5 to 4
+    times faster (2-core x86, numpy 2.4).
+
+    Given ``scratch``, the array form works in place: ``raw`` and
+    ``scratch`` must be int64 arrays of the broadcast shape, and ``raw`` is
+    overwritten by the residue and ``scratch`` by the quotient. The verdict
+    goes into ``out``, a bool array of that shape, when one is given; with
+    both, the rule allocates nothing.
     """
-    d = raw - lo
-    return d - d // period * period > width
+    if scratch is None:
+        d = raw - lo
+        return d - d // period * period > width
+    d = np.subtract(raw, lo, out=raw)
+    q = np.floor_divide(d, period, out=scratch)
+    q *= period
+    d -= q
+    return np.greater(d, width, out=out)
 
 
 def weighted_fitness(

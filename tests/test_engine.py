@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from perisched import codec, engine, instances, model, oracle
 from perisched.engine import GaConfig, Termination
-from perisched.errors import ConfigInvalid, EvaluatorMismatch
+from perisched.errors import ConfigInvalid, EvaluatorMismatch, ValidationError
 from perisched.model import ConnectionSpec, Segment, Train, Trip
 
 from conftest import (
@@ -351,6 +352,94 @@ class TestKernelEdges:
             problem.gene_hi,
         ])
         assert_batch_is_scalar(problem, genes)
+
+
+def same_counts(a, b) -> bool:
+    return a.keys() == b.keys() and all(np.array_equal(a[kind], b[kind]) for kind in a)
+
+
+class TestPairStage:
+    """The pair stage of `violation_counts` writes into arrays its
+    `CompiledProblem` keeps between calls."""
+
+    @pytest.fixture
+    def problem(self, cs2):
+        return engine.CompiledProblem(cs2, model.derive_bounds(cs2))
+
+    def test_same_row_count_reuses_the_buffers(self, problem):
+        rng = np.random.default_rng(8)
+        problem.violation_counts(problem.random_population(5, rng))
+        kept = problem._pair_buffers
+        problem.violation_counts(problem.random_population(5, rng))
+        assert len(problem._pair_buffers) == len(kept)
+        assert all(now is then for now, then in zip(problem._pair_buffers, kept))
+
+    def test_a_changed_row_count_gives_fresh_counts(self, problem, cs2):
+        rng = np.random.default_rng(9)
+        for size in (5, 3, 5):
+            genes = problem.random_population(size, rng)
+            fresh = engine.CompiledProblem(cs2, model.derive_bounds(cs2))
+            assert same_counts(problem.violation_counts(genes), fresh.violation_counts(genes))
+            assert all(b.shape == (len(problem.pair_x), size) for b in problem._pair_buffers)
+
+    def test_returned_counts_survive_the_next_call(self, problem):
+        rng = np.random.default_rng(10)
+        first = problem.violation_counts(problem.random_population(5, rng))
+        before = {kind: n.copy() for kind, n in first.items()}
+        second = problem.violation_counts(problem.random_population(5, rng))
+        assert not same_counts(second, before)
+        assert same_counts(first, before)
+
+
+class TestGeneStorage:
+    """The GA stores genes as int32, which `model.INT_CAP` makes exact."""
+
+    def test_buffers_are_int32(self, cs1):
+        state = engine.init_state(cs1, model.derive_bounds(cs1), tiny_config(population_size=21))
+        assert state.population.dtype == np.int32
+        assert [b.dtype for b in state.buffers] == [np.int32, np.int32]
+        assert state.scratch.dtype == np.int32
+        engine.step_generation(state)
+        assert state.population.dtype == np.int32 and state.best_genes.dtype == np.int32
+
+    @pytest.mark.parametrize("period", [model.INT_CAP, 2**32])
+    def test_a_period_at_the_cap_is_refused(self, period):
+        # unvalidated: int32 genes would wrap instead of failing by name
+        inst = make_instance(
+            period,
+            [Train("X", 3, (Trip("A", "B", 1, 2),)), Train("Y", 3, (Trip("A", "B", 1, 2),))],
+        )
+        with pytest.raises(ValidationError) as refused:
+            model.validate_instance(inst)
+        message = re.escape(str(refused.value))
+        constraints = model.derive_bounds(inst)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            engine.CompiledProblem(inst, constraints)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            engine.run(inst, constraints, tiny_config(max_evaluations=100))
+
+    def test_a_gene_window_beyond_int32_is_refused(self):
+        inst = make_instance(60, [Train("X", 3, (Trip("A", "B", 1, 2**31),))])
+        with pytest.raises(ValidationError, match=re.escape("lie in [-2**31, 2**31), got [0, 2147483648]")):
+            engine.CompiledProblem(inst, [])
+
+    def test_run_at_the_largest_period(self):
+        # genes up to 2**31 - 2, stored as int32: the final population scores
+        # the same as its int64 copy, and `run`'s re-check passes
+        inst = huge_period_instance()
+        constraints = model.derive_bounds(inst)
+        config = tiny_config(max_evaluations=200)
+        state = engine.init_state(inst, constraints, config)
+        while state.evaluations_used < config.max_evaluations:
+            engine.step_generation(state)
+        problem = state.problem
+        wide = state.population.astype(np.int64)
+        assert np.all((wide >= problem.gene_lo) & (wide <= problem.gene_hi))
+        assert wide.max() >= 2**30
+        assert np.array_equal(problem.fitness_batch(wide), state.fitness)
+        result = engine.run(inst, constraints, config)
+        assert result.best_fitness == state.best_fitness
+        assert list(result.best_genotype.genes) == state.best_genes.tolist()
 
 
 def fitness_digest(instance, weights) -> str:

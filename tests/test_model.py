@@ -109,6 +109,11 @@ class TestEvalConstraint:
         grid = np.meshgrid(np.array(raw, dtype=np.int64), los, widths, indexing="ij")
         expected = [[[(r - lo) % period > w for w in widths] for lo in los] for r in raw]
         assert model.window_test(*grid, period).tolist() == expected
+        # the in-place form: the residue overwrites `raw`, the quotient `scratch`
+        raw_grid, lo_grid, width_grid = grid
+        scratch, out = np.empty_like(raw_grid), np.empty(raw_grid.shape, dtype=bool)
+        result = model.window_test(raw_grid, lo_grid, width_grid, period, scratch=scratch, out=out)
+        assert result is out and out.tolist() == expected
         scalar = [[[model.window_test(r, lo, w, period) for w in widths] for lo in los] for r in raw]
         assert scalar == expected
 

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from perisched import codec, engine, model, oracle
 from perisched.errors import TimetablingError
-from perisched.instances import build_cs1, dumps, load_timetable, loads, save_timetable
+from perisched.instances import (
+    build_cs1,
+    dumps,
+    generate_cs2_like,
+    load_timetable,
+    loads,
+    save_timetable,
+)
 from perisched.model import (
     ConnectionSpec,
     ConstraintKind,
@@ -139,6 +146,33 @@ def test_batch_fitness_is_the_scalar_fitness(instance, seed):
         batch_counts = {kind: int(n[row]) for kind, n in counts.items()}
         assert batch_counts == report.violations_by_type
         assert batch_counts == oracle.check_independent(tt, instance).violations_by_type
+
+
+cs2_like = st.integers(0, 11).map(functools.cache(generate_cs2_like))
+FRACTIONAL = WeightConfig(headway=10.1, single_track=10.3, connection=0.7)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(cs2_like, st.sampled_from([WeightConfig(), FRACTIONAL]), st.integers(0, 2**32 - 1))
+def test_kernel_reads_int64_int32_and_strided_genes_alike(instance, weights, seed):
+    # the GA hands the kernel int32 rows; callers may pass int64, or a view
+    instance = dataclasses.replace(instance, weights=weights)
+    constraints = model.derive_bounds(instance)
+    problem = engine.CompiledProblem(instance, constraints)
+    genes = problem.random_population(10, np.random.default_rng(seed))
+    narrow = genes.astype(np.int32)
+    strided = np.repeat(narrow, 2, axis=0)[::2]
+    assert not strided.flags.c_contiguous
+    counts = problem.violation_counts(genes)
+    for other in (narrow, strided):
+        other_counts = problem.violation_counts(other)
+        assert all(np.array_equal(counts[kind], other_counts[kind]) for kind in ConstraintKind)
+    fitness = problem.fitness_batch(strided)
+    for row in range(len(genes)):
+        tt = codec.decode(codec.Genotype(tuple(int(g) for g in genes[row])), instance)
+        report = model.evaluate(tt, constraints, weights)
+        assert {kind: int(n[row]) for kind, n in counts.items()} == report.violations_by_type
+        assert fitness[row] == report.weighted_fitness
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
