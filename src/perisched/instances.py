@@ -21,9 +21,12 @@ The interchange format is a single JSON document::
       "metadata": {"name": "...", "synthetic": false, "notes": "..."}
     }
 
-All times are integer minutes. The final trip of a route carries no
-"dwell_after". Unknown keys anywhere are rejected by name. Files are
-saved with stations first and trains ordered by id, so diffs stay stable.
+All times are integer minutes. The tables `_INSTANCE`, `_TRIP` and their
+siblings below are the schema: every allowed key, the kind of its value
+and its default. The final trip of a route omits "dwell_after"; a null
+there is rejected like any other value that is not a pair of integers.
+Unknown keys anywhere are rejected by name. Files are saved with
+stations first and trains ordered by id, so diffs stay stable.
 
 Timetables use a sibling format::
 
@@ -80,177 +83,122 @@ BUILTIN_NAMES = ("cs1", "cs2")
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# reading documents
 #
-# A location in the document, such as ("trip", 3, "of train", "L1a"), is a
-# tuple of its words; `_label` joins them only when a message needs them,
-# so a valid document formats no location at all.
+# Each kind of JSON object has one table, read by `_fields`: it maps every
+# allowed key to the kind of its value and to its default, `...` where the
+# key is required. A kind is the exact JSON types its value may take (a
+# boolean is no integer) and how a message names them. A location in the
+# document, such as ("trip", 3, "of train", "L1a"), is a tuple of its words;
+# `_label` joins them only when a message needs them, so a valid document
+# formats no location at all.
+
+_STRING = ((str,), "a string, got {!r}")
+_INT = ((int,), "an integer, got {!r}")
+_BOOL = ((bool,), "a boolean, got {!r}")
+_NUMBER = ((int, float), "a number, got {!r}")
+_PAIR = ((list,), "a pair of integers, got {!r}")
+_LIST = ((list,), "a list")
+_OBJECT = ((dict,), "an object")
+
+_INSTANCE = {
+    "period": (_INT, ...),
+    "stations": (_LIST, ...),
+    "segments": (_LIST, ()),
+    "trains": (_LIST, ...),
+    "connections": (_LIST, ()),
+    "weights": (_OBJECT, {}),
+    "metadata": (_OBJECT, {}),
+}
+_SEGMENT = {"from": (_STRING, ...), "to": (_STRING, ...), "single_track": (_BOOL, False)}
+_TRAIN = {"id": (_STRING, ...), "basic_headway": (_INT, ...), "route": (_LIST, ...)}
+_TRIP = {
+    "from": (_STRING, ...),
+    "to": (_STRING, ...),
+    "running": (_PAIR, ...),
+    "dwell_after": (_PAIR, (None, None)),  # absent on a route's final trip
+}
+_CONNECTION = {
+    "feeder": (_STRING, ...),
+    "onward": (_STRING, ...),
+    "station": (_STRING, ...),
+    "window": (_PAIR, ...),
+}
+_WEIGHTS = {f.name: (_NUMBER, f.default) for f in dataclasses.fields(WeightConfig)}
+_METADATA = {"name": (_STRING, ""), "synthetic": (_BOOL, False), "notes": (_STRING, "")}
+_TIMETABLE = {"period": (_INT, ...), "events": (_LIST, ...)}
+_EVENT = {
+    "train": (_STRING, ...),
+    "station": (_STRING, ...),
+    "kind": (_STRING, ...),
+    "time": (_INT, ...),
+}
+
 
 def _label(where: tuple, field: str | None = None) -> str:
     words = where if field is None else (*where, field)
     return " ".join(map(str, words))
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: tuple) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ValidationError(f"unknown key {key!r} in {_label(where)}")
-
-
-def _want(obj: dict, key: str, where: tuple):
-    if key not in obj:
-        raise ValidationError(f"missing key {key!r} in {_label(where)}")
-    return obj[key]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_pair(value, where: tuple, field: str | None = None) -> tuple[int, int]:
-    if isinstance(value, list) and len(value) == 2 and _is_int(value[0]) and _is_int(value[1]):
-        return value[0], value[1]
-    raise ValidationError(
-        f"{_label(where, field)} must be a pair of integers, got {value!r}"
-    )
-
-
-def _an_int(value, where: tuple, field: str | None = None) -> int:
-    if not _is_int(value):
-        raise ValidationError(f"{_label(where, field)} must be an integer, got {value!r}")
-    return value
-
-
-def _a_str(value, where: tuple, field: str | None = None) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{_label(where, field)} must be a string, got {value!r}")
-    return value
-
-
-def _a_bool(value, where: tuple, field: str | None = None) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"{_label(where, field)} must be a boolean, got {value!r}")
-    return value
-
-
-def _a_list(value, where: tuple, field: str | None = None) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{_label(where, field)} must be a list")
-    return value
-
-
-def _an_object(value, where: tuple) -> dict:
-    if not isinstance(value, dict):
+def _fields(obj, where: tuple, spec: dict) -> list:
+    """The values of the JSON object `obj`, one per key of `spec` in its
+    order, a missing key giving its default. A non-object is a
+    ValidationError naming `where`; an unknown or missing key, or a value
+    of the wrong kind, is one naming `where` and the key."""
+    if type(obj) is not dict:
         raise ValidationError(f"{_label(where)} must be an object")
-    return value
-
-
-def _parse_trip(obj, index: int, train_id: str) -> Trip:
-    where = ("trip", index, "of train", train_id)
-    _reject_unknown(_an_object(obj, where), {"from", "to", "running", "dwell_after"}, where)
-    running = _int_pair(_want(obj, "running", where), where, "running")
-    dwell = obj.get("dwell_after")
-    dwell_pair = (None, None) if dwell is None else _int_pair(dwell, where, "dwell_after")
-    return Trip(
-        from_station=_a_str(_want(obj, "from", where), where, "from"),
-        to_station=_a_str(_want(obj, "to", where), where, "to"),
-        running_lo=running[0],
-        running_hi=running[1],
-        dwell_after_lo=dwell_pair[0],
-        dwell_after_hi=dwell_pair[1],
-    )
+    for key in obj:
+        if key not in spec:
+            raise ValidationError(f"unknown key {key!r} in {_label(where)}")
+    values = []
+    for key, (kind, default) in spec.items():
+        if key not in obj:
+            if default is ...:
+                raise ValidationError(f"missing key {key!r} in {_label(where)}")
+            values.append(default)
+            continue
+        value = obj[key]
+        types, noun = kind
+        if type(value) not in types or (
+            kind is _PAIR
+            and (len(value) != 2 or type(value[0]) is not int or type(value[1]) is not int)
+        ):
+            raise ValidationError(f"{_label(where, key)} must be {noun.format(value)}")
+        values.append(value)
+    return values
 
 
 def _instance_from_document(doc) -> Instance:
-    if not isinstance(doc, dict):
-        raise ValidationError("instance document must be a JSON object")
-    top = ("instance",)
-    _reject_unknown(
-        doc,
-        {"period", "stations", "segments", "trains", "connections", "weights", "metadata"},
-        top,
+    period, stations, segment_docs, train_docs, connection_docs, weights, meta = _fields(
+        doc, ("instance",), _INSTANCE
     )
-
-    period = _an_int(_want(doc, "period", top), ("period",))
-    stations = tuple(
-        _a_str(s, ("station id",))
-        for s in _a_list(_want(doc, "stations", top), ("stations",))
+    for station in stations:
+        if type(station) is not str:
+            raise ValidationError(f"station id must be a string, got {station!r}")
+    segments = tuple(
+        Segment(*_fields(obj, ("segment", k), _SEGMENT)) for k, obj in enumerate(segment_docs)
     )
-
-    segments = []
-    for k, seg in enumerate(_a_list(doc.get("segments", []), ("segments",))):
-        where = ("segment", k)
-        _reject_unknown(_an_object(seg, where), {"from", "to", "single_track"}, where)
-        segments.append(
-            Segment(
-                _a_str(_want(seg, "from", where), where, "from"),
-                _a_str(_want(seg, "to", where), where, "to"),
-                _a_bool(seg.get("single_track", False), where, "single_track"),
-            )
-        )
-
     trains = []
-    for k, tr in enumerate(_a_list(_want(doc, "trains", top), ("trains",))):
-        where = ("train", k)
-        _reject_unknown(_an_object(tr, where), {"id", "basic_headway", "route"}, where)
-        train_id = _a_str(_want(tr, "id", where), where, "id")
-        route = tuple(
-            _parse_trip(trip, i, train_id)
-            for i, trip in enumerate(_a_list(_want(tr, "route", where), where, "route"))
-        )
-        trains.append(
-            Train(
-                id=train_id,
-                basic_headway=_an_int(_want(tr, "basic_headway", where), where, "basic_headway"),
-                route=route,
-            )
-        )
-
+    for k, obj in enumerate(train_docs):
+        train_id, headway, route = _fields(obj, ("train", k), _TRAIN)
+        trips = []
+        for i, trip in enumerate(route):
+            src, dst, running, dwell = _fields(trip, ("trip", i, "of train", train_id), _TRIP)
+            trips.append(Trip(src, dst, *running, *dwell))
+        trains.append(Train(train_id, headway, tuple(trips)))
     connections = []
-    for k, conn in enumerate(_a_list(doc.get("connections", []), ("connections",))):
-        where = ("connection", k)
-        _reject_unknown(_an_object(conn, where), {"feeder", "onward", "station", "window"}, where)
-        lo, hi = _int_pair(_want(conn, "window", where), where, "window")
-        connections.append(
-            ConnectionSpec(
-                feeder_train=_a_str(_want(conn, "feeder", where), where, "feeder"),
-                onward_train=_a_str(_want(conn, "onward", where), where, "onward"),
-                station=_a_str(_want(conn, "station", where), where, "station"),
-                conn_lo=lo,
-                conn_hi=hi,
-            )
-        )
-
-    weights = WeightConfig()
-    if "weights" in doc:
-        wobj = _an_object(doc["weights"], ("weights",))
-        _reject_unknown(wobj, {kind.value for kind in ConstraintKind}, ("weights",))
-        fields = {}
-        for name, value in wobj.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"weight {name!r} must be a number")
-            fields[name] = value
-        weights = WeightConfig(**fields)
-
-    meta = InstanceMeta()
-    if "metadata" in doc:
-        where = ("metadata",)
-        mobj = _an_object(doc["metadata"], where)
-        _reject_unknown(mobj, {"name", "synthetic", "notes"}, where)
-        meta = InstanceMeta(
-            name=_a_str(mobj.get("name", ""), where, "name"),
-            synthetic=_a_bool(mobj.get("synthetic", False), where, "synthetic"),
-            notes=_a_str(mobj.get("notes", ""), where, "notes"),
-        )
+    for k, obj in enumerate(connection_docs):
+        feeder, onward, station, (lo, hi) = _fields(obj, ("connection", k), _CONNECTION)
+        connections.append(ConnectionSpec(feeder, onward, station, lo, hi))
 
     instance = Instance(
         period=period,
-        stations=stations,
-        segments=tuple(segments),
+        stations=tuple(stations),
+        segments=segments,
         trains=tuple(trains),
         connections=tuple(connections),
-        weights=weights,
-        meta=meta,
+        weights=WeightConfig(*_fields(weights, ("weights",), _WEIGHTS)),
+        meta=InstanceMeta(*_fields(meta, ("metadata",), _METADATA)),
     )
     model.validate_instance(instance)
     return instance
@@ -377,33 +325,23 @@ def save_timetable(tt: Timetable, path: str | Path) -> None:
 
 def load_timetable(path: str | Path, instance: Instance) -> Timetable:
     """Load a timetable file and check it covers the instance's events."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValidationError("timetable document must be a JSON object")
-    top = ("timetable",)
-    _reject_unknown(doc, {"period", "events"}, top)
-    period = _an_int(_want(doc, "period", top), top, "period")
+    period, events = _fields(_read_json(path), ("timetable",), _TIMETABLE)
     if period != instance.period:
         raise ValidationError(
             f"timetable period {period} does not match instance period {instance.period}"
         )
     times: dict[Event, int] = {}
-    for k, entry in enumerate(_a_list(_want(doc, "events", top), ("events",))):
+    for k, entry in enumerate(events):
         where = ("timetable event", k)
-        _reject_unknown(_an_object(entry, where), {"train", "station", "kind", "time"}, where)
-        kind_name = _a_str(_want(entry, "kind", where), where, "kind")
+        train, station, kind_name, time = _fields(entry, where, _EVENT)
         try:
             kind = EventKind(kind_name)
         except ValueError:
             raise ValidationError(f"{_label(where)}: kind must be arrival or departure") from None
-        event = Event(
-            _a_str(_want(entry, "train", where), where, "train"),
-            _a_str(_want(entry, "station", where), where, "station"),
-            kind,
-        )
+        event = Event(train, station, kind)
         if event in times:
             raise ValidationError(f"{_label(where)}: duplicate event")
-        times[event] = _an_int(_want(entry, "time", where), where, "time")
+        times[event] = time
 
     index = instance.event_index
     for event in times:

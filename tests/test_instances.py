@@ -139,6 +139,17 @@ class TestLoadErrors:
         with pytest.raises(ValidationError, match="running"):
             instances.loads(text)
 
+    @pytest.mark.parametrize("trip", [1, 3])  # intermediate, then final trip
+    def test_null_dwell_window_rejected_by_name(self, cs1, trip):
+        doc = json.loads(instances.dumps(cs1))
+        assert doc["trains"][0]["id"] == "L1a" and len(doc["trains"][0]["route"]) == 4
+        doc["trains"][0]["route"][trip]["dwell_after"] = None
+        with pytest.raises(
+            ValidationError,
+            match=rf"^trip {trip} of train L1a dwell_after must be a pair of integers, got None$",
+        ):
+            instances.loads(json.dumps(doc))
+
     @pytest.mark.parametrize("value", ["no", 0, 1, None])
     def test_non_boolean_synthetic_flag_rejected(self, cs1, value):
         doc = json.loads(instances.dumps(cs1))

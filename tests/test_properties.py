@@ -348,23 +348,32 @@ def _nodes(node, path=()):
             yield from _nodes(value, path + (key,))
 
 
-def _invalidating_edits(doc) -> list[tuple[tuple, object]]:
-    """Single edits (path, new value or DROP) of a valid instance document
-    that each make it invalid: a dropped required key, a value of the wrong
-    type, an outsized integer, a swapped window, an unknown train."""
+def _key(path: tuple) -> str | None:
+    """The key a message must name when an edit at `path` breaks the
+    document's schema: the last key, unless that is a list position."""
+    return path[-1] if isinstance(path[-1], str) else None
+
+
+def _invalidating_edits(doc) -> list[tuple[tuple, object, str | None]]:
+    """Single edits (path, new value or DROP, the key its message names) of
+    a valid instance document that each make it invalid: a dropped required
+    key, a value of the wrong type, an outsized integer, a swapped window,
+    an unknown train. Edits that keep the schema and break the network name
+    no key; neither does a dropped dwell window, which only an intermediate
+    trip needs."""
     edits = []
     for path, value in _nodes(doc):
-        edits.append((path, OTHER_TYPE[type(value)]))
+        edits.append((path, OTHER_TYPE[type(value)], _key(path)))
         if type(value) is int:
-            edits += [(path, model.INT_CAP), (path, 10**30)]
+            edits += [(path, model.INT_CAP, None), (path, 10**30, None)]
         if path[0] == "weights":  # every weight is optional and a number
             continue
         if path[-1] in REQUIRED_KEYS:
-            edits.append((path, DROP))
+            edits.append((path, DROP, None if path[-1] == "dwell_after" else path[-1]))
         if path[-1] in WINDOW_KEYS and value[0] != value[1]:
-            edits.append((path, value[::-1]))
+            edits.append((path, value[::-1], None))
     for k in range(len(doc["connections"])):
-        edits += [(("connections", k, role), "ghost") for role in ("feeder", "onward")]
+        edits += [(("connections", k, role), "ghost", None) for role in ("feeder", "onward")]
     return edits
 
 
@@ -380,31 +389,43 @@ def _apply(doc, path: tuple, value) -> None:
         parent[path[-1]] = value
 
 
+def _assert_named(error: TimetablingError, key: str | None) -> None:
+    assert type(error) is not TimetablingError
+    if key is not None:
+        assert key in str(error), (key, str(error))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(instances(), st.data())
 def test_mutated_documents_raise_named_errors(instance, data):
     doc = json.loads(dumps(instance))
-    _apply(doc, *data.draw(st.sampled_from(_invalidating_edits(doc))))
+    path, value, key = data.draw(st.sampled_from(_invalidating_edits(doc)))
+    _apply(doc, path, value)
     with pytest.raises(TimetablingError) as info:
         loads(json.dumps(doc))
-    assert type(info.value) is not TimetablingError
+    _assert_named(info.value, key)
 
 
-def _invalidating_timetable_edits(doc) -> list[tuple[tuple, object]]:
+def _invalidating_timetable_edits(doc) -> list[tuple[tuple, object, str | None]]:
     """Single edits of a valid timetable document that each make it
     invalid: a dropped key or event, a value of the wrong type, a time out
     of range, an unknown train, station or kind, a duplicated event, a
-    mismatched period, an extra key."""
+    mismatched period, an extra key. As for instances, the third item is
+    the key the message must name."""
     period, events = doc["period"], doc["events"]
-    edits = [(("period",), period + 1), (("extra",), 0), (("events", len(events)), events[0])]
+    edits = [
+        (("period",), period + 1, None),
+        (("extra",), 0, "extra"),
+        (("events", len(events)), events[0], None),
+    ]
     for path, value in _nodes(doc):
-        edits += [(path, OTHER_TYPE[type(value)]), (path, DROP)]
+        edits += [(path, OTHER_TYPE[type(value)], _key(path)), (path, DROP, _key(path))]
         if path[-1] == "time":
-            edits += [(path, -1), (path, period), (path, 10**30)]
+            edits += [(path, -1, None), (path, period, None), (path, 10**30, None)]
         if path[-1] in ("train", "station", "kind"):
-            edits.append((path, "ghost"))
+            edits.append((path, "ghost", None))
         if len(path) == 2:  # an event
-            edits.append((path + ("extra",), 0))
+            edits.append((path + ("extra",), 0, "extra"))
     return edits
 
 
@@ -418,8 +439,9 @@ def test_mutated_timetable_documents_raise_named_errors(
     save_timetable(tt, path)
     assert load_timetable(path, instance) == tt
     doc = json.loads(path.read_text())
-    _apply(doc, *data.draw(st.sampled_from(_invalidating_timetable_edits(doc))))
+    edit, value, key = data.draw(st.sampled_from(_invalidating_timetable_edits(doc)))
+    _apply(doc, edit, value)
     path.write_text(json.dumps(doc))
     with pytest.raises(TimetablingError) as info:
         load_timetable(path, instance)
-    assert type(info.value) is not TimetablingError
+    _assert_named(info.value, key)
