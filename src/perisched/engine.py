@@ -18,11 +18,13 @@ int32, which is exact because every gene lies in [0, period) and
 `model.validate_instance` keeps the period below `model.INT_CAP`.
 Mutation draws one binomial flip count for the whole generation and then
 that many distinct gene positions, which is distributed exactly as an
-independent flip per gene. Fitness accumulates, in int64, only the genes
-that the event times read by pairwise constraints depend on, event-major:
-one row per kept gene column, one column per individual, scanned one
-section position at a time (`CompiledProblem`). `codec.decode_array`
-stays the row-major decoder for full timetables.
+independent flip per gene. Crossover reads each child's tail mask off
+one read-only sliding window (`GaState.tails`). Fitness accumulates only
+the genes that the event times read by pairwise constraints depend on,
+event-major: one row per kept gene column, one column per individual,
+scanned one section position at a time, in int32 unless the instance's
+sums could outgrow it (`CompiledProblem`). `codec.decode_array` stays the
+row-major decoder for full timetables.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import codec, model, oracle
 from .errors import ConfigInvalid, EvaluatorMismatch, MissingEvent, ValidationError
@@ -130,6 +133,18 @@ class CompiledProblem:
     The single-row decoder `codec.decode_array` keeps the row-major
     running sum, which is cheaper on one row.
 
+    The kernel works in one integer type, `dtype`: int32 when every
+    unreduced prefix sum, pair difference and quotient product is sure to
+    fit, that is when ``2 * length * max(-min(gene_lo), max(gene_hi)) + 2 *
+    period < model.INT_CAP``, and int64 otherwise (a period or gene windows
+    near 2**31). The test assumes that the genes lie in their windows and
+    that each window lies in ``(-period, period)``, as `model.derive_bounds`
+    makes it. Every bundled and generated network runs in int32, whose
+    floor division costs a third of int64's on a dense 310 x 300 pair
+    matrix (2-core x86, numpy 2.4); the GA's int32 genes then enter the
+    kernel uncopied. Per-family counts add up in int32 and are returned as
+    int64, so that a count times a weight below 2**31 cannot wrap.
+
     The pair stage (each pair's two row takes, their difference, the
     window rule and the violation mask) writes into arrays kept between
     calls and reallocated only when the row count changes. Allocating
@@ -146,7 +161,7 @@ class CompiledProblem:
     def __init__(self, instance: model.Instance, constraints: Sequence[model.PeriodicConstraint]):
         model.check_period(instance.period)
         index = instance.event_index
-        lo, hi = index.gene_lo.min(initial=0), index.gene_hi.max(initial=0)
+        lo, hi = int(index.gene_lo.min(initial=0)), int(index.gene_hi.max(initial=0))
         if not -model.INT_CAP <= lo <= hi < model.INT_CAP:
             raise ValidationError(f"gene windows must lie in [-2**31, 2**31), got [{lo}, {hi}]")
         self.instance = instance
@@ -154,6 +169,11 @@ class CompiledProblem:
         self.gene_lo = index.gene_lo
         self.gene_hi = index.gene_hi
         self.length = len(index.events)
+        # a prefix sum stays within length * max(-lo, hi), a pair difference
+        # within twice that, and the window rule's quotient product within
+        # that plus 2 * period (windows lie in (-period, period))
+        wide = 2 * self.length * max(-lo, hi) + 2 * self.period >= model.INT_CAP
+        self.dtype = np.int64 if wide else np.int32
 
         # running and dwell hold by construction: their slices stay empty
         pairs: list[model.PeriodicConstraint] = []
@@ -173,8 +193,8 @@ class CompiledProblem:
                 f"constraint references {event.kind.value} of {event.train} at "
                 f"{event.station}, which this instance never schedules"
             ) from None
-        self.pair_lo = np.asarray([c.lo for c in pairs], dtype=np.int64)
-        self.pair_width = np.asarray([c.hi - c.lo for c in pairs], dtype=np.int64)
+        self.pair_lo = np.asarray([c.lo for c in pairs], dtype=self.dtype)
+        self.pair_width = np.asarray([c.hi - c.lo for c in pairs], dtype=self.dtype)
 
         # each section's columns up to the last one a pair reads
         offsets = index.section_offsets
@@ -212,20 +232,22 @@ class CompiledProblem:
     def violation_counts(self, genes: np.ndarray) -> dict[model.ConstraintKind, np.ndarray]:
         """Violated constraints of each family, per row of a genotype matrix.
 
-        Works event-major: row i of the working matrix is kept column
-        ``kept[i]`` for the whole population. Adding each level to the rows
-        of the level before it, one slice per level, turns the genes into
-        the event times' unreduced prefix sums; they need no mod-period
-        step, since `model.window_test` reduces each difference itself.
+        Every gene must lie in its window (`gene_lo`, `gene_hi`), since the
+        kernel may work in int32 (`dtype`). Works event-major: row i of the
+        working matrix is kept column ``kept[i]`` for the whole population.
+        Adding each level to the rows of the level before it, one slice per
+        level, turns the genes into the event times' unreduced prefix sums;
+        they need no mod-period step, since `model.window_test` reduces each
+        difference itself.
         """
-        times = genes.T[self.kept].astype(np.int64, copy=False)
+        times = genes.T[self.kept].astype(self.dtype, copy=False)
         for rows, previous in self.levels:
             times[rows] += times[previous]
         if self._pair_buffers is None or self._pair_buffers[0].shape[1] != len(genes):
             shape = (len(self.pair_x), len(genes))
             self._pair_buffers = (
-                np.empty(shape, dtype=np.int64),
-                np.empty(shape, dtype=np.int64),
+                np.empty(shape, dtype=self.dtype),
+                np.empty(shape, dtype=self.dtype),
                 np.empty(shape, dtype=bool),
             )
         later, earlier, violated = self._pair_buffers
@@ -238,8 +260,9 @@ class CompiledProblem:
             later, self.pair_lo[:, None], self.pair_width[:, None], self.period,
             scratch=earlier, out=violated,
         )
+        # int32 adds faster; int64 keeps a count times a weight from wrapping
         return {
-            kind: np.count_nonzero(violated[rows], axis=0)
+            kind: violated[rows].sum(axis=0, dtype=np.int32).astype(np.int64)
             for kind, rows in self.family_slice.items()
         }
 
@@ -265,6 +288,10 @@ class GaState:
     when the offspring count is odd. ``scratch`` holds one row per
     offspring pair, for crossover to swap tails through. The gene buffers,
     ``scratch`` and ``best_genes`` are int32 (see the module docstring).
+    ``tails`` is a read-only window of ``length + 1`` rows over
+    ``arange(2 * length) >= length``: row ``length - c`` is the tail mask
+    of a cut at column ``c`` and row 0 is all False, so crossover gathers
+    its masks in one row take.
     """
 
     config: GaConfig
@@ -279,6 +306,7 @@ class GaState:
     buffers: tuple[np.ndarray, np.ndarray]
     fitness_buffers: tuple[np.ndarray, np.ndarray]
     scratch: np.ndarray
+    tails: np.ndarray
 
     def _note_best(self) -> None:
         idx = int(np.argmin(self.fitness))
@@ -299,7 +327,8 @@ def init_state(
     size = config.population_size
     n_pairs = _pair_count(config)
     rows = config.elite_count + 2 * n_pairs
-    buffers = tuple(np.empty((rows, problem.length), dtype=np.int32) for _ in range(2))
+    L = problem.length
+    buffers = tuple(np.empty((rows, L), dtype=np.int32) for _ in range(2))
     population = buffers[0][:size]
     population[...] = problem.random_population(size, rng)
     first = problem.fitness_batch(population)
@@ -318,7 +347,8 @@ def init_state(
         best_fitness=fitness[0].item(),
         buffers=buffers,
         fitness_buffers=fitness_buffers,
-        scratch=np.empty((n_pairs, problem.length), dtype=np.int32),
+        scratch=np.empty((n_pairs, L), dtype=np.int32),
+        tails=sliding_window_view(np.arange(2 * L) >= L, L),
     )
     state._note_best()
     return state
@@ -384,7 +414,7 @@ def step_generation(state: GaState) -> GaState:
 
     crossed = rng.random(n_pairs) < cfg.crossover_rate
     cuts = rng.integers(1, L, size=n_pairs)
-    tail = (np.arange(L)[None, :] >= cuts[:, None]) & crossed[:, None]
+    tail = state.tails[np.where(crossed, L - cuts, 0)]
     np.copyto(state.scratch, child_a, where=tail)
     np.copyto(child_a, child_b, where=tail)
     np.copyto(child_b, state.scratch, where=tail)

@@ -593,16 +593,19 @@ def window_test(raw, lo, width, period, scratch=None, out=None):
 
     Both the scalar `evaluate` and the batch `engine.CompiledProblem` call
     this. The residue is taken as ``d - d // period * period``, which equals
-    ``d % period`` for Python ints and numpy int64 alike (both floor).
-    numpy has a fast path for int64 ``//`` by a scalar and none for ``%``,
-    so on a dense population's 310 x 300 pair matrix this form is 1.5 to 4
-    times faster (2-core x86, numpy 2.4).
+    ``d % period`` for Python ints and numpy integers alike (both floor).
+    numpy has a fast path for integer ``//`` by a scalar and none for
+    ``%``, so on a dense population's 310 x 300 pair matrix this form is
+    1.5 to 4 times faster (2-core x86, numpy 2.4).
 
     Given ``scratch``, the array form works in place: ``raw`` and
-    ``scratch`` must be int64 arrays of the broadcast shape, and ``raw`` is
-    overwritten by the residue and ``scratch`` by the quotient. The verdict
-    goes into ``out``, a bool array of that shape, when one is given; with
-    both, the rule allocates nothing.
+    ``scratch`` must be arrays of the broadcast shape and of one integer
+    dtype, which ``lo`` and ``width`` share and which must hold ``raw -
+    lo`` and the quotient times ``period`` (`engine.CompiledProblem` picks
+    int32 or int64 so that it does). ``raw`` is overwritten by the residue
+    and ``scratch`` by the quotient. The verdict goes into ``out``, a bool
+    array of that shape, when one is given; with both, the rule allocates
+    nothing.
     """
     if scratch is None:
         d = raw - lo

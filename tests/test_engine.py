@@ -156,6 +156,24 @@ class TestCrossover:
             assert np.array_equal(parents, before)
             assert not np.shares_memory(state.population, parents)
 
+    @pytest.mark.parametrize("network", ["one-trip", "single_track", "cs1", "cs2"])
+    def test_tail_masks(self, network, request):
+        # lengths 2, 4, 64 and 472; every train has an even number of
+        # events, so no instance has an odd length
+        if network == "one-trip":
+            instance = make_instance(60, [Train("t", 3, (Trip("A", "B", 1, 2),))])
+        elif network in MICRO_BUILDERS:
+            instance = MICRO_BUILDERS[network]()
+        else:
+            instance = request.getfixturevalue(network)
+        state = engine.init_state(instance, model.derive_bounds(instance), tiny_config())
+        L = state.problem.length
+        assert state.tails.shape == (L + 1, L)
+        assert not state.tails.flags.writeable
+        assert not state.tails[0].any()
+        for c in range(1, L):
+            assert np.array_equal(state.tails[L - c], np.arange(L) >= c)
+
     def test_offspring_stay_in_bounds(self, cs1):
         constraints = model.derive_bounds(cs1)
         config = GaConfig(population_size=100, max_evaluations=10_000, crossover_rate=1.0, seed=3)
@@ -351,6 +369,125 @@ class TestKernelEdges:
             problem.gene_lo,
             problem.gene_hi,
         ])
+        assert_batch_is_scalar(problem, genes)
+
+
+def edge_instance(period):
+    """Two trains with every window reaching period - 1, and a headway and
+    a connection between them: 8 genes whose largest is period - 1."""
+    hi = period - 1
+    return make_instance(
+        period,
+        trains=[
+            Train("X", period // 4, (
+                Trip("A", "B", 1, hi, 0, hi), Trip("B", "C", 1, hi, 0, hi), Trip("C", "D", 1, hi)
+            )),
+            Train("Y", period // 4, (Trip("C", "D", 1, hi),)),
+        ],
+        connections=[ConnectionSpec("X", "Y", "C", 2, period // 2)],
+    )
+
+
+def window_edge_rows(problem, constraints):
+    """Rows at `gene_hi` but for one train's phase gene, set so that one
+    pairwise constraint between two trains sits on an end of its window:
+    a wrapped prefix sum moves the residue off that end."""
+    index = problem.instance.event_index
+    offsets = index.section_offsets
+    rows = []
+    for c in constraints:
+        x, y = index.column[c.earlier], index.column[c.later]
+        first_x, first_y = (offsets[np.searchsorted(offsets, col, side="right") - 1] for col in (x, y))
+        if first_x == first_y:  # running and dwell: one train
+            continue
+        for end in (c.lo, c.hi):
+            row = problem.gene_hi.copy()
+            raw = int(row[first_y : y + 1].sum()) - int(row[first_x : x + 1].sum())
+            row[first_y] = (row[first_y] + end - raw) % problem.period
+            rows.append(row)
+    return np.array(rows)
+
+
+def width_bound(problem):
+    lo, hi = int(problem.gene_lo.min()), int(problem.gene_hi.max())
+    return 2 * problem.length * max(-lo, hi) + 2 * problem.period
+
+
+class TestKernelWidth:
+    """The kernel works in int32 unless an instance's sums could outgrow it."""
+
+    @pytest.mark.parametrize(
+        "make,dtype",
+        [
+            pytest.param(instances.build_cs1, np.int32, id="cs1"),
+            pytest.param(lambda: instances.load(instances.bundled_path("cs2")), np.int32, id="cs2"),
+            *(
+                pytest.param(
+                    lambda seed=seed: instances.generate_cs2_like(seed), np.int32, id=f"cs2-like-{seed}"
+                )
+                for seed in range(12)
+            ),
+            pytest.param(huge_period_instance, np.int64, id="huge-period"),
+        ],
+    )
+    def test_kernel_width(self, make, dtype):
+        instance = make()
+        assert engine.CompiledProblem(instance, model.derive_bounds(instance)).dtype == dtype
+
+    # 9 * 119304648 - 8 == 2**30: the bound reaches the cap at the larger
+    # period and stays 18 below it at the smaller
+    @pytest.mark.parametrize("period,dtype", [(119304647, np.int32), (119304648, np.int64)])
+    def test_counts_are_exact_on_either_side_of_the_switch(self, period, dtype):
+        instance = edge_instance(period)
+        model.validate_instance(instance)
+        constraints = model.derive_bounds(instance)
+        problem = engine.CompiledProblem(instance, constraints)
+        assert (width_bound(problem) < model.INT_CAP) == (dtype == np.int32)
+        assert abs(width_bound(problem) - model.INT_CAP) <= 2 * (problem.length + 1)
+        assert problem.dtype == dtype
+        genes = np.vstack([
+            problem.gene_lo,
+            problem.gene_hi,
+            window_edge_rows(problem, constraints),
+            problem.random_population(60, np.random.default_rng(11)),
+        ])
+        for rows in (genes, genes.astype(np.int32)):
+            counts = problem.violation_counts(rows)
+            assert 0 < counts[model.ConstraintKind.HEADWAY].sum() < 2 * len(rows)
+            assert_batch_is_scalar(problem, rows)
+
+    def test_the_largest_period_needs_int64(self):
+        # the edge rows' prefix sums pass 2**31: int32 would misjudge them
+        instance = huge_period_instance()
+        constraints = model.derive_bounds(instance)
+        problem = engine.CompiledProblem(instance, constraints)
+        rows = window_edge_rows(problem, constraints)
+        assert len(rows) == 10  # both ends of 5 pairwise constraints
+        assert_batch_is_scalar(problem, rows)
+
+    @pytest.mark.parametrize("make", [instances.build_cs1, huge_period_instance])
+    def test_pair_arrays_carry_the_kernel_dtype(self, make):
+        instance = make()
+        problem = engine.CompiledProblem(instance, model.derive_bounds(instance))
+        problem.violation_counts(problem.random_population(7, np.random.default_rng(0)))
+        later, earlier, violated = problem._pair_buffers
+        for array in (problem.pair_lo, problem.pair_width, later, earlier):
+            assert array.dtype == problem.dtype
+        assert violated.dtype == bool
+
+    def test_counts_stay_exact_under_the_largest_weights(self, cs2):
+        # int32 counts times a weight near 2**31 would wrap silently
+        big = model.INT_CAP - 1
+        instance = dataclasses.replace(
+            cs2, weights=model.WeightConfig(headway=big, single_track=big, connection=1)
+        )
+        model.validate_instance(instance)
+        constraints = model.derive_bounds(instance)
+        problem = engine.CompiledProblem(instance, constraints)
+        genes = problem.random_population(40, np.random.default_rng(12)).astype(np.int32)
+        counts = problem.violation_counts(genes)
+        assert all(n.dtype == np.int64 for n in counts.values())
+        assert problem.fitness_batch(genes).max() > 4 * model.INT_CAP
         assert_batch_is_scalar(problem, genes)
 
 
