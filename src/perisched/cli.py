@@ -47,7 +47,10 @@ class ExperimentSpec:
     largest limit, and each smaller limit's row is read off it as it
     passes that limit (`engine.run_anytime`), exactly as a separate run to
     that limit with the same seed would end. The runs of one (limit,
-    population) cell are independently seeded; the limits share them."""
+    population) cell are independently seeded; the limits share them.
+
+    Building one raises `ConfigInvalid` for a spec that no run of it could
+    carry out, so a sweep never fails part way for its spec."""
 
     population_sizes: tuple[int, ...]
     eval_limits: tuple[int, ...]
@@ -55,9 +58,7 @@ class ExperimentSpec:
     base_seed: int = 1
     workers: int = 1
 
-    def validate(self) -> None:
-        """Raise `ConfigInvalid` for a spec that no run of it could carry
-        out, before any run starts."""
+    def __post_init__(self):
         if self.runs < 1:
             raise ConfigInvalid("runs must be >= 1")
         if not self.population_sizes or not self.eval_limits:
@@ -75,7 +76,7 @@ class ExperimentSpec:
                 raise ConfigInvalid(f"repeated {name}: {', '.join(map(str, repeated))}")
         for pop in self.population_sizes:
             for limit in self.eval_limits:
-                engine.GaConfig(population_size=pop, max_evaluations=limit).validate()
+                engine.GaConfig(population_size=pop, max_evaluations=limit)  # checks itself
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ def run_experiment(
     once, from the pool's initializer, and every task is just
     ``(pop, run_index, seed)``.
     """
-    spec.validate()
     constraints = model.derive_bounds(instance)
     sweep = (instance, constraints, spec.eval_limits)
     tasks = [
@@ -307,7 +307,6 @@ def _load_instance(source: str, weight_overrides: dict | None) -> model.Instance
     if weight_overrides:
         weights = dataclasses.replace(instance.weights, **weight_overrides)
         instance = dataclasses.replace(instance, weights=weights)
-        model.validate_instance(instance)
     return instance
 
 

@@ -14,8 +14,8 @@ A run owns two int32 population buffers: each step gathers the tournament
 winners straight into the spare one, crosses and mutates them there, adds
 the elites, and then swaps the two, so the population a step reads is
 never written during that step. Genes are drawn as int64 and stored as
-int32, which is exact because every gene lies in [0, period) and
-`model.validate_instance` keeps the period below `model.INT_CAP`.
+int32, which is exact because every gene lies in [0, period) and a
+`model.Instance` cannot be built with a period of `model.INT_CAP` or more.
 Mutation draws one binomial flip count for the whole generation and then
 that many distinct gene positions, which is distributed exactly as an
 independent flip per gene. Crossover reads each child's tail mask off
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import codec, model, oracle
-from .errors import ConfigInvalid, EvaluatorMismatch, MissingEvent, ValidationError
+from .errors import ConfigInvalid, EvaluatorMismatch, MissingEvent
 
 
 _PAIR_KINDS = (
@@ -58,7 +58,9 @@ class Termination(Enum):
 @dataclass(frozen=True)
 class GaConfig:
     """Knobs of one GA run. ``mutation_rate_per_gene=None`` resolves to
-    one expected mutation per genotype (rate 1/length)."""
+    one expected mutation per genotype (rate 1/length). Building one
+    checks it: an invalid config raises ConfigInvalid, whether it came
+    from the constructor or `dataclasses.replace`."""
 
     population_size: int = 300
     max_evaluations: int = 200_000
@@ -68,7 +70,7 @@ class GaConfig:
     elite_count: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.population_size < 2:
             raise ConfigInvalid(f"population_size must be >= 2, got {self.population_size}")
         if self.max_evaluations < self.population_size:
@@ -153,17 +155,12 @@ class CompiledProblem:
     faults and 2.5 to 3 ms per call on a dense 310-pair network at
     population 300, against no faults and 0.9 ms with kept arrays (2-core
     x86, numpy 2.4). Because of those arrays a `CompiledProblem` must not be
-    shared between threads. Construction refuses a period outside
-    ``[2, model.INT_CAP)``, as `model.validate_instance` does, and gene
-    windows that int32 cannot hold, since the GA's int32 genes would wrap.
+    shared between threads.
     """
 
     def __init__(self, instance: model.Instance, constraints: Sequence[model.PeriodicConstraint]):
-        model.check_period(instance.period)
         index = instance.event_index
         lo, hi = int(index.gene_lo.min(initial=0)), int(index.gene_hi.max(initial=0))
-        if not -model.INT_CAP <= lo <= hi < model.INT_CAP:
-            raise ValidationError(f"gene windows must lie in [-2**31, 2**31), got [{lo}, {hi}]")
         self.instance = instance
         self.period = instance.period
         self.gene_lo = index.gene_lo
@@ -321,7 +318,6 @@ def init_state(
     config: GaConfig,
 ) -> GaState:
     """Random initial population, fully evaluated."""
-    config.validate()
     problem = CompiledProblem(instance, constraints)
     rng = np.random.default_rng(config.seed)
     size = config.population_size
@@ -480,7 +476,7 @@ def run_anytime(
     than ``config.max_evaluations``.
     """
     for limit in limits:
-        dataclasses.replace(config, max_evaluations=limit).validate()
+        dataclasses.replace(config, max_evaluations=limit)  # checks the budget
         if limit > config.max_evaluations:
             raise ConfigInvalid(
                 f"limit {limit} exceeds the run's budget ({config.max_evaluations})"

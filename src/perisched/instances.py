@@ -191,7 +191,7 @@ def _instance_from_document(doc) -> Instance:
         feeder, onward, station, (lo, hi) = _fields(obj, ("connection", k), _CONNECTION)
         connections.append(ConnectionSpec(feeder, onward, station, lo, hi))
 
-    instance = Instance(
+    return Instance(
         period=period,
         stations=tuple(stations),
         segments=segments,
@@ -200,8 +200,6 @@ def _instance_from_document(doc) -> Instance:
         weights=WeightConfig(*_fields(weights, ("weights",), _WEIGHTS)),
         meta=InstanceMeta(*_fields(meta, ("metadata",), _METADATA)),
     )
-    model.validate_instance(instance)
-    return instance
 
 
 def _parse_json(text: str):
@@ -525,9 +523,7 @@ def build_cs1() -> Instance:
             )
         )
 
-    instance = dataclasses.replace(skeleton, connections=tuple(connections))
-    model.validate_instance(instance)
-    return instance
+    return dataclasses.replace(skeleton, connections=tuple(connections))
 
 
 def cs1_reference_genotype() -> codec.Genotype:
@@ -739,13 +735,9 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
             ConnectionSpec(feeder, onward, station, max(0, gap - slack_lo), gap + slack_hi)
         )
 
-    instance = Instance(
-        period=T,
-        stations=_CS2_STATIONS,
-        segments=segments,
-        trains=tuple(trains),
+    instance = dataclasses.replace(
+        skeleton,
         connections=tuple(connections),
-        weights=WeightConfig(),
         meta=InstanceMeta(
             name=f"cs2-synthetic-{seed}",
             synthetic=True,
@@ -756,8 +748,6 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
             ),
         ),
     )
-    model.validate_instance(instance)
-
     constraints = model.derive_bounds(instance)
     census: dict[ConstraintKind, int] = {k: 0 for k in ConstraintKind}
     for c in constraints:

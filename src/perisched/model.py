@@ -12,7 +12,6 @@ makes ``lo <= time(y) - time(x) + q*period <= hi``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -157,7 +156,7 @@ class EventIndex:
     in ``[gene_lo[i], gene_hi[i]]``: ``[0, period - 1]`` for a train's
     first departure, the trip's running window for an arrival, the previous
     trip's dwell window for any later departure. `of` makes the arrays
-    read-only; like `derive_bounds`, it assumes a validated instance.
+    read-only.
     """
 
     events: tuple[Event, ...]
@@ -186,7 +185,11 @@ class EventIndex:
 
 @dataclass(frozen=True)
 class Instance:
-    """A full timetabling problem: network, trains and their bounds."""
+    """A full timetabling problem: network, trains and their bounds.
+
+    Building one runs `validate_instance`, so an instance that exists is
+    valid, whether it came from the constructor or `dataclasses.replace`.
+    """
 
     period: int
     stations: tuple[str, ...]
@@ -195,6 +198,9 @@ class Instance:
     connections: tuple[ConnectionSpec, ...]
     weights: WeightConfig = WeightConfig()
     meta: InstanceMeta = InstanceMeta()
+
+    def __post_init__(self):
+        validate_instance(self)
 
     @cached_property
     def event_index(self) -> EventIndex:
@@ -292,24 +298,23 @@ class EvaluationReport:
 INT_CAP = 2**31
 
 
-def check_period(period: int) -> None:
-    """Raise ValidationError unless ``2 <= period < INT_CAP``."""
-    if not 2 <= period < INT_CAP:
-        raise ValidationError(f"period must be in [2, 2**31), got {period}")
-
-
 def validate_instance(instance: Instance) -> None:
     """Check every structural invariant, raising ValidationError (or the
     MalformedInstance subclass for dangling references) with a message
-    naming the offending element.
+    naming the offending element. `Instance` runs this when built.
 
-    The period and integer weights must lie below `INT_CAP` (2**31), so every
-    gene and weight does. Then a gene fits an int32 exactly, and the batched
-    int64 arithmetic stays exact: a prefix sum over n genes, or a weighted
-    count over n constraints, stays below n * 2**31 < 2**63 for any n under
-    2**32, far more than fits in memory.
+    Every time (the period, headways and running, dwell and connection
+    bounds) must be an int, not a float or a bool. The period and integer
+    weights must lie below `INT_CAP` (2**31), so every gene and weight
+    does. Then a gene fits an int32 exactly, and the fitness kernel's
+    arithmetic stays exact in the integer type that
+    `engine.CompiledProblem.dtype` picks for it.
     """
-    check_period(instance.period)
+    period = instance.period
+    if type(period) is not int:
+        raise ValidationError(f"period must be an integer, got {period!r}")
+    if not 2 <= period < INT_CAP:
+        raise ValidationError(f"period must be in [2, 2**31), got {period}")
 
     stations = instance.stations
     if len(set(stations)) != len(stations):
@@ -340,6 +345,10 @@ def validate_instance(instance: Instance) -> None:
     for train in instance.trains:
         if not train.route:
             raise ValidationError(f"train {train.id} has an empty route")
+        if type(train.basic_headway) is not int:
+            raise ValidationError(
+                f"train {train.id}: basic_headway must be an integer, got {train.basic_headway!r}"
+            )
         if not 1 <= train.basic_headway < instance.period:
             raise ValidationError(
                 f"train {train.id}: basic_headway {train.basic_headway} "
@@ -358,6 +367,11 @@ def validate_instance(instance: Instance) -> None:
                     f"{where}: route breaks at {trip.to_station}, next trip "
                     f"starts at {train.route[k + 1].from_station}"
                 )
+            if not type(trip.running_lo) is type(trip.running_hi) is int:
+                raise ValidationError(
+                    f"{where}: running window [{trip.running_lo!r}, {trip.running_hi!r}] "
+                    f"must be integers"
+                )
             if not 1 <= trip.running_lo <= trip.running_hi < instance.period:
                 raise ValidationError(
                     f"{where}: running window [{trip.running_lo}, {trip.running_hi}] "
@@ -371,6 +385,11 @@ def validate_instance(instance: Instance) -> None:
                 raise ValidationError(f"{where}: intermediate stop lacks a dwell window")
             if k == last and has_lo:
                 raise ValidationError(f"{where}: final trip must not carry a dwell window")
+            if has_lo and not type(trip.dwell_after_lo) is type(trip.dwell_after_hi) is int:
+                raise ValidationError(
+                    f"{where}: dwell window [{trip.dwell_after_lo!r}, "
+                    f"{trip.dwell_after_hi!r}] must be integers"
+                )
             if has_lo and not (
                 0 <= trip.dwell_after_lo <= trip.dwell_after_hi < instance.period
             ):
@@ -408,6 +427,10 @@ def validate_instance(instance: Instance) -> None:
             raise MalformedInstance(
                 f"{label}: onward train never departs from {conn.station}"
             )
+        if not type(conn.conn_lo) is type(conn.conn_hi) is int:
+            raise ValidationError(
+                f"{label}: window [{conn.conn_lo!r}, {conn.conn_hi!r}] must be integers"
+            )
         if not 0 <= conn.conn_lo <= conn.conn_hi:
             raise ValidationError(f"{label}: window [{conn.conn_lo}, {conn.conn_hi}] inverted")
         if conn.conn_hi - conn.conn_lo >= instance.period:
@@ -418,7 +441,9 @@ def validate_instance(instance: Instance) -> None:
     w = instance.weights
     for kind in ConstraintKind:
         value = w.weight_for(kind)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        if type(value) is bool or not (
+            isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
+        ):
             raise ValidationError(
                 f"weight for {kind.value} must be a finite non-negative number, "
                 f"got {value!r}"
@@ -441,11 +466,7 @@ def _normalized_window(lo: int, hi: int, period: int) -> tuple[int, int]:
 
 
 def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
-    """Build the full constraint set of a validated instance.
-
-    The instance must have passed `validate_instance` (`instances.load`,
-    `loads`, `build_cs1` and `generate_cs2_like` all validate): dangling
-    references and missing dwell windows are not checked again here.
+    """Build the full constraint set of an instance.
 
     Families, in output order:
 
@@ -468,9 +489,8 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     Ordering within a family is by key: running and dwell by (train id,
     route position); headway and single_track by (id of i, id of j, route
     position of i's event); connection by (feeder, onward, station). The
-    output thus depends only on the instance content. Windows
-    at least a full period wide are dropped with a warning; an inverted
-    window raises BoundInversion.
+    output thus depends only on the instance content. An inverted window
+    raises BoundInversion.
 
     Cost: linear in the instance's legs plus the constraints emitted (up
     to sorting each train's pairs by partner). Pairs are found through an
@@ -485,7 +505,7 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     # trip k of trains[i] departs with events[starts[i] + 2k], arrives with the next
     offsets = dict(zip([t.id for t in instance.trains], index.section_offsets.tolist()))
     starts = [offsets[t.id] for t in trains]
-    # a validated train departs each station once, so it runs each
+    # a train departs each station once (`validate_instance`), so it runs each
     # directed leg at most once: (train position, route position) per runner
     runners: dict[tuple[str, str], list[tuple[int, int]]] = {}
     for i, train in enumerate(trains):
@@ -518,13 +538,6 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
         c = PeriodicConstraint(kind, earlier, later, *_normalized_window(lo, hi, T))
         if c.lo > c.hi:
             raise BoundInversion(f"inverted window, lo > hi: {c.describe()}")
-        if c.hi - c.lo >= T:
-            warnings.warn(
-                f"dropping vacuous constraint, window spans a full period: "
-                f"{c.describe()}",
-                stacklevel=3,
-            )
-            return
         out.append(c)
 
     for train, start in zip(trains, starts):

@@ -175,14 +175,6 @@ class TestSolve:
         stdout = capsys.readouterr().out
         assert "violated connection: arrival" in stdout
 
-        vacuous = make_instance(
-            60, [Train("w", 2, (Trip("A", "B", 5, 6, 0, 60), Trip("B", "C", 5, 6)))]
-        )
-        with pytest.warns(UserWarning) as record:
-            model.derive_bounds(vacuous)
-        warning = str(record[0].message)
-        assert "dwell: arrival w@B -> departure w@B" in warning
-
         inverted = make_instance(
             8, [Train(t, 5, (Trip("s", "t", 1, 2),)) for t in ("a", "b")]
         )
@@ -190,7 +182,7 @@ class TestSolve:
             model.derive_bounds(inverted)
         assert "headway: departure b@s -> departure a@s" in str(info.value)
 
-        for message in (stdout, warning, str(info.value)):
+        for message in (stdout, str(info.value)):
             assert "EventKind." not in message
             assert "ConstraintKind." not in message
 

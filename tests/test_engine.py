@@ -27,7 +27,7 @@ def tiny_config(**kw):
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        GaConfig().validate()
+        GaConfig()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -43,7 +43,9 @@ class TestConfig:
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(GaConfig(), **{field: value}).validate()
+            GaConfig(**{field: value})
+        with pytest.raises(ConfigInvalid):
+            dataclasses.replace(GaConfig(), **{field: value})
 
 
 class TestSelectParent:
@@ -360,7 +362,6 @@ class TestKernelEdges:
 
     def test_period_near_the_cap(self):
         inst = huge_period_instance()
-        model.validate_instance(inst)
         constraints = model.derive_bounds(inst)
         assert {c.kind for c in constraints} == set(model.ConstraintKind)
         problem = engine.CompiledProblem(inst, constraints)
@@ -439,7 +440,6 @@ class TestKernelWidth:
     @pytest.mark.parametrize("period,dtype", [(119304647, np.int32), (119304648, np.int64)])
     def test_counts_are_exact_on_either_side_of_the_switch(self, period, dtype):
         instance = edge_instance(period)
-        model.validate_instance(instance)
         constraints = model.derive_bounds(instance)
         problem = engine.CompiledProblem(instance, constraints)
         assert (width_bound(problem) < model.INT_CAP) == (dtype == np.int32)
@@ -481,7 +481,6 @@ class TestKernelWidth:
         instance = dataclasses.replace(
             cs2, weights=model.WeightConfig(headway=big, single_track=big, connection=1)
         )
-        model.validate_instance(instance)
         constraints = model.derive_bounds(instance)
         problem = engine.CompiledProblem(instance, constraints)
         genes = problem.random_population(40, np.random.default_rng(12)).astype(np.int32)
@@ -541,24 +540,17 @@ class TestGeneStorage:
 
     @pytest.mark.parametrize("period", [model.INT_CAP, 2**32])
     def test_a_period_at_the_cap_is_refused(self, period):
-        # unvalidated: int32 genes would wrap instead of failing by name
-        inst = make_instance(
-            period,
-            [Train("X", 3, (Trip("A", "B", 1, 2),)), Train("Y", 3, (Trip("A", "B", 1, 2),))],
-        )
-        with pytest.raises(ValidationError) as refused:
-            model.validate_instance(inst)
-        message = re.escape(str(refused.value))
-        constraints = model.derive_bounds(inst)
+        # int32 genes would wrap: no such instance can be built
+        message = re.escape(f"period must be in [2, 2**31), got {period}")
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            engine.CompiledProblem(inst, constraints)
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            engine.run(inst, constraints, tiny_config(max_evaluations=100))
+            make_instance(
+                period,
+                [Train("X", 3, (Trip("A", "B", 1, 2),)), Train("Y", 3, (Trip("A", "B", 1, 2),))],
+            )
 
     def test_a_gene_window_beyond_int32_is_refused(self):
-        inst = make_instance(60, [Train("X", 3, (Trip("A", "B", 1, 2**31),))])
-        with pytest.raises(ValidationError, match=re.escape("lie in [-2**31, 2**31), got [0, 2147483648]")):
-            engine.CompiledProblem(inst, [])
+        with pytest.raises(ValidationError, match=re.escape("[1, 2147483648] invalid for period 60")):
+            make_instance(60, [Train("X", 3, (Trip("A", "B", 1, 2**31),))])
 
     def test_run_at_the_largest_period(self):
         # genes up to 2**31 - 2, stored as int32: the final population scores

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -296,13 +297,10 @@ class TestDeriveBounds:
         late = Timetable(60, {**tt.times, Event.departure("g", "B"): 11})
         assert verdict(conn[0], late) == (True, 11)
 
-    def test_vacuous_window_dropped_with_warning(self):
-        # bypasses validation: dwell window spanning the whole period
+    def test_a_window_spanning_the_period_cannot_be_built(self):
         train = Train("w", 2, (Trip("A", "B", 5, 6, 0, 60), Trip("B", "C", 5, 6)))
-        inst = make_instance(60, [train])
-        with pytest.warns(UserWarning, match="vacuous"):
-            constraints = model.derive_bounds(inst)
-        assert all(c.kind is not ConstraintKind.DWELL for c in constraints)
+        with pytest.raises(ValidationError, match=r"dwell window \[0, 60\] invalid for period 60"):
+            make_instance(60, [train])
 
     def test_inverted_bounds_raise(self):
         # tiny period makes the headway floor exceed its ceiling
@@ -345,9 +343,7 @@ def corridor_network() -> Instance:
                 trips.append(Trip(x, y, lo, lo + 2, *dwell))
             trains.append(Train(f"T{7 * line % 9}{direction}", 2 + line % 3, tuple(trips)))
     connections = (ConnectionSpec("T0a", "T7b", "C3", 2, 9), ConnectionSpec("T5b", "T1a", "C2", 3, 12))
-    instance = Instance(60, tuple(stations), tuple(segments), tuple(trains), connections)
-    model.validate_instance(instance)
-    return instance
+    return Instance(60, tuple(stations), tuple(segments), tuple(trains), connections)
 
 
 def derivation_digest(instance: Instance) -> tuple[int, str]:
@@ -386,15 +382,13 @@ def renamed(instance: Instance, tag: str) -> Instance:
 def disjoint_copies(instance: Instance, k: int) -> Instance:
     """k copies of `instance` side by side, copy c tagged ``c<c>:``."""
     copies = [renamed(instance, f"c{c}:") for c in range(k)]
-    union = dataclasses.replace(
+    return dataclasses.replace(
         instance,
         **{
             part: tuple(x for copy in copies for x in getattr(copy, part))
             for part in ("stations", "segments", "trains", "connections")
         },
     )
-    model.validate_instance(union)
-    return union
 
 
 # (network, constraint count, sha256 of `derivation_digest`'s rows), computed
@@ -443,112 +437,138 @@ class TestDerivationPins:
             assert mine == expected
 
 
+def timed_instance(
+    period=60, basic_headway=2, running_lo=5, running_hi=6,
+    dwell_after_lo=1, dwell_after_hi=2, conn_lo=0, conn_hi=5,
+):
+    """Two trains and a transfer, with every time field settable."""
+    feeder = Train(
+        "f",
+        basic_headway,
+        (Trip("A", "B", running_lo, running_hi, dwell_after_lo, dwell_after_hi), Trip("B", "C", 5, 6)),
+    )
+    onward = Train("g", 2, (Trip("B", "C", 5, 6),))
+    return make_instance(
+        period, [feeder, onward], connections=[ConnectionSpec("f", "g", "B", conn_lo, conn_hi)]
+    )
+
+
 class TestValidation:
     def test_valid_instances_pass(self, micro_instance):
         model.validate_instance(micro_instance)
+        model.validate_instance(timed_instance())
 
     def test_empty_trains_rejected(self):
-        inst = Instance(60, ("A",), (), (), ())
         with pytest.raises(ValidationError, match="no trains"):
-            model.validate_instance(inst)
+            Instance(60, ("A",), (), (), ())
 
     def test_period_too_small(self):
-        inst = make_instance(1, [Train("t", 1, (Trip("A", "B", 1, 1),))])
         with pytest.raises(ValidationError, match="period"):
-            model.validate_instance(inst)
+            make_instance(1, [Train("t", 1, (Trip("A", "B", 1, 1),))])
+
+    def test_replace_is_checked(self, cs1):
+        with pytest.raises(ValidationError, match=r"period must be in \[2, 2\*\*31\), got 1"):
+            dataclasses.replace(cs1, period=1)
+
+    def test_unpickling_does_not_check_again(self, cs2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "validate_instance", calls.append)
+        assert pickle.loads(pickle.dumps(cs2)) == cs2
+        assert calls == []
+        copy = dataclasses.replace(cs2)
+        assert calls == [copy]  # the patched check does see a build
+
+    @pytest.mark.parametrize("value", [60.0, 6.5, True])
+    @pytest.mark.parametrize(
+        "field,named",
+        [
+            ("period", "period"),
+            ("basic_headway", "basic_headway"),
+            ("running_lo", "running window"),
+            ("running_hi", "running window"),
+            ("dwell_after_lo", "dwell window"),
+            ("dwell_after_hi", "dwell window"),
+            ("conn_lo", "connection f->g at B: window"),
+            ("conn_hi", "connection f->g at B: window"),
+        ],
+    )
+    def test_times_must_be_ints(self, field, named, value):
+        # a float time once reached the int32 kernel and failed there
+        with pytest.raises(ValidationError, match="must be (an integer|integers)") as refused:
+            timed_instance(**{field: value})
+        assert named in str(refused.value) and repr(value) in str(refused.value)
+
+    @pytest.mark.parametrize("kind", [k.value for k in ConstraintKind])
+    def test_weights_must_not_be_bools(self, kind):
+        with pytest.raises(ValidationError, match=f"weight for {kind} must be a finite"):
+            make_instance(
+                60, [Train("t", 2, (Trip("A", "B", 5, 6),))], weights=WeightConfig(**{kind: True})
+            )
 
     def test_inverted_running_window_names_trip(self):
-        inst = make_instance(60, [Train("t", 2, (Trip("A", "B", 9, 7),))])
         with pytest.raises(ValidationError, match="trip 0"):
-            model.validate_instance(inst)
+            make_instance(60, [Train("t", 2, (Trip("A", "B", 9, 7),))])
 
     def test_broken_chain(self):
-        inst = make_instance(
-            60,
-            [Train("t", 2, (Trip("A", "B", 5, 6, 1, 2), Trip("C", "D", 5, 6)))],
-        )
         with pytest.raises(ValidationError, match="breaks"):
-            model.validate_instance(inst)
+            make_instance(
+                60,
+                [Train("t", 2, (Trip("A", "B", 5, 6, 1, 2), Trip("C", "D", 5, 6)))],
+            )
 
     def test_missing_intermediate_dwell(self):
-        inst = make_instance(
-            60, [Train("t", 2, (Trip("A", "B", 5, 6), Trip("B", "C", 5, 6)))]
-        )
         with pytest.raises(ValidationError, match="dwell"):
-            model.validate_instance(inst)
+            make_instance(60, [Train("t", 2, (Trip("A", "B", 5, 6), Trip("B", "C", 5, 6)))])
 
     def test_dwell_on_final_trip(self):
-        inst = make_instance(60, [Train("t", 2, (Trip("A", "B", 5, 6, 1, 2),))])
         with pytest.raises(ValidationError, match="final"):
-            model.validate_instance(inst)
+            make_instance(60, [Train("t", 2, (Trip("A", "B", 5, 6, 1, 2),))])
 
     def test_duplicate_train_ids(self):
         t = Train("t", 2, (Trip("A", "B", 5, 6),))
-        inst = make_instance(60, [t, t])
         with pytest.raises(ValidationError, match="duplicate"):
-            model.validate_instance(inst)
+            make_instance(60, [t, t])
 
     def test_connection_station_not_on_route(self):
         trains = [
             Train("f", 2, (Trip("A", "B", 5, 6),)),
             Train("g", 2, (Trip("B", "C", 5, 6),)),
         ]
-        inst = make_instance(
-            60, trains, connections=[ConnectionSpec("f", "g", "C", 0, 5)]
-        )
         with pytest.raises(MalformedInstance, match="never arrives"):
-            model.validate_instance(inst)
+            make_instance(60, trains, connections=[ConnectionSpec("f", "g", "C", 0, 5)])
 
     def test_missing_connection_target_is_malformed(self):
         train = Train("t", 2, (Trip("A", "B", 5, 6),))
-        inst = make_instance(
-            60, [train], connections=[ConnectionSpec("t", "ghost", "B", 0, 5)]
-        )
         with pytest.raises(MalformedInstance, match="'ghost'"):
-            model.validate_instance(inst)
+            make_instance(60, [train], connections=[ConnectionSpec("t", "ghost", "B", 0, 5)])
 
     def test_station_visited_twice_in_same_role(self):
-        inst = make_instance(
-            60,
-            [
-                Train(
-                    "t",
-                    2,
-                    (
-                        Trip("A", "B", 5, 6, 1, 2),
-                        Trip("B", "A", 5, 6, 1, 2),
-                        Trip("A", "B", 5, 6),
-                    ),
-                )
-            ],
-        )
+        route = (Trip("A", "B", 5, 6, 1, 2), Trip("B", "A", 5, 6, 1, 2), Trip("A", "B", 5, 6))
         with pytest.raises(ValidationError, match="twice"):
-            model.validate_instance(inst)
+            make_instance(60, [Train("t", 2, route)])
 
     def test_soft_weight_must_stay_below_hard(self):
-        inst = make_instance(
-            60,
-            [Train("t", 2, (Trip("A", "B", 5, 6),))],
-            weights=WeightConfig(headway=1, connection=5),
-        )
         with pytest.raises(ValidationError, match="exceed"):
-            model.validate_instance(inst)
+            make_instance(
+                60,
+                [Train("t", 2, (Trip("A", "B", 5, 6),))],
+                weights=WeightConfig(headway=1, connection=5),
+            )
 
     @pytest.mark.parametrize("bad", [-1, float("nan"), float("inf")])
     def test_weights_must_be_finite_nonnegative(self, bad):
-        inst = make_instance(
-            60,
-            [Train("t", 2, (Trip("A", "B", 5, 6),))],
-            weights=WeightConfig(running=bad),
-        )
         with pytest.raises(ValidationError, match="weight"):
-            model.validate_instance(inst)
+            make_instance(
+                60,
+                [Train("t", 2, (Trip("A", "B", 5, 6),))],
+                weights=WeightConfig(running=bad),
+            )
 
     def test_period_at_int_cap_rejected(self):
         train = Train("t", 1, (Trip("A", "B", 1, 1),))
-        model.validate_instance(make_instance(model.INT_CAP - 1, [train]))
+        make_instance(model.INT_CAP - 1, [train])
         with pytest.raises(ValidationError, match=r"period must be in \[2, 2\*\*31\)"):
-            model.validate_instance(make_instance(model.INT_CAP, [train]))
+            make_instance(model.INT_CAP, [train])
 
     def test_integer_weight_at_int_cap_rejected(self):
         def with_headway(w):
@@ -558,18 +578,17 @@ class TestValidation:
                 weights=WeightConfig(headway=w),
             )
 
-        model.validate_instance(with_headway(model.INT_CAP - 1))
+        with_headway(model.INT_CAP - 1)
         with pytest.raises(ValidationError, match="weight for headway must be below"):
-            model.validate_instance(with_headway(model.INT_CAP))
+            with_headway(model.INT_CAP)
 
     def test_duplicate_segment_pair(self):
-        inst = make_instance(
-            60,
-            [Train("t", 2, (Trip("A", "B", 5, 6),))],
-            segments=[Segment("A", "B"), Segment("B", "A")],
-        )
         with pytest.raises(ValidationError, match="segment"):
-            model.validate_instance(inst)
+            make_instance(
+                60,
+                [Train("t", 2, (Trip("A", "B", 5, 6),))],
+                segments=[Segment("A", "B"), Segment("B", "A")],
+            )
 
     def test_timetable_time_out_of_range(self):
         with pytest.raises(ValidationError):

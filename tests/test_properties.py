@@ -114,7 +114,7 @@ def instances(draw):
             ConnectionSpec(feeder, onward, station, lo, lo + draw(st.integers(0, period - 2)))
         )
 
-    instance = Instance(
+    return Instance(
         period=period,
         stations=tuple(STATIONS + BRANCH),
         segments=segments,
@@ -122,8 +122,6 @@ def instances(draw):
         connections=tuple(connections),
         weights=draw(weight_configs()),
     )
-    model.validate_instance(instance)
-    return instance
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -19,6 +19,9 @@ REMOVED = [
     (codec, "accumulate_sections"),
     (model.EvaluationReport, "feasible_with_connections"),
     (model, "random_timetable"),
+    (model, "check_period"),
+    (engine.GaConfig, "validate"),
+    (cli.ExperimentSpec, "validate"),
 ]
 
 
