@@ -59,6 +59,12 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        counts = [("runs", self.runs), ("base_seed", self.base_seed), ("workers", self.workers)]
+        counts += [("population_sizes", v) for v in self.population_sizes]
+        counts += [("eval_limits", v) for v in self.eval_limits]
+        for name, value in counts:
+            if type(value) is not int:
+                raise ConfigInvalid(f"{name}: {value!r} is not an integer")
         if self.runs < 1:
             raise ConfigInvalid("runs must be >= 1")
         if not self.population_sizes or not self.eval_limits:

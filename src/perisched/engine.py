@@ -2,17 +2,18 @@
 
 One run keeps a fixed-size population of integer genotypes, evaluates
 every new individual (counting evaluations), and replaces the population
-generationally: the best few individuals survive as elites, the rest are
-offspring of tournament-selected parents recombined by one-point
-crossover and per-gene mutation. Running and dwell windows hold by
-construction of the encoding, so an individual's fitness is the weighted
-violation count of the pairwise families only (headway, single-track,
-connection); zero fitness is a timetable satisfying everything.
+generationally: the best individual survives, the rest are offspring of
+binary-tournament parents recombined by one-point crossover and per-gene
+mutation (`GaConfig` fixes the operators). Running and dwell windows hold
+by construction of the encoding, so an individual's fitness is the
+weighted violation count of the pairwise families only (headway,
+single-track, connection); zero fitness is a timetable satisfying
+everything.
 
 The generation step operates on the whole population as numpy arrays.
 A run owns two int32 population buffers: each step gathers the tournament
 winners straight into the spare one, crosses and mutates them there, adds
-the elites, and then swaps the two, so the population a step reads is
+the elite, and then swaps the two, so the population a step reads is
 never written during that step. Genes are drawn as int64 and stored as
 int32, which is exact because every gene lies in [0, period) and a
 `model.Instance` cannot be built with a period of `model.INT_CAP` or more.
@@ -34,7 +35,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,40 +58,34 @@ class Termination(Enum):
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Knobs of one GA run. ``mutation_rate_per_gene=None`` resolves to
-    one expected mutation per genotype (rate 1/length). Building one
-    checks it: an invalid config raises ConfigInvalid, whether it came
+    """One GA run: its population size, evaluation budget and seed.
+
+    The operators are the same for every run: the best individual
+    survives (`elite_count`), parents win binary tournaments, a pair
+    crosses at one point with probability `crossover_rate`, and each gene
+    mutates with probability `mutations_per_genotype` / length. Building
+    one checks it: an invalid config raises ConfigInvalid, whether it came
     from the constructor or `dataclasses.replace`."""
+
+    elite_count: ClassVar[int] = 1
+    crossover_rate: ClassVar[float] = 0.9
+    mutations_per_genotype: ClassVar[int] = 1
 
     population_size: int = 300
     max_evaluations: int = 200_000
-    crossover_rate: float = 0.9
-    mutation_rate_per_gene: float | None = None
-    tournament_size: int = 2
-    elite_count: int = 1
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_evaluations", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
         if self.population_size < 2:
             raise ConfigInvalid(f"population_size must be >= 2, got {self.population_size}")
         if self.max_evaluations < self.population_size:
             raise ConfigInvalid(
                 f"max_evaluations ({self.max_evaluations}) must cover at least "
                 f"one full population ({self.population_size})"
-            )
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigInvalid(f"crossover_rate {self.crossover_rate} not in [0, 1]")
-        if self.mutation_rate_per_gene is not None and not (
-            0.0 <= self.mutation_rate_per_gene <= 1.0
-        ):
-            raise ConfigInvalid(
-                f"mutation_rate_per_gene {self.mutation_rate_per_gene} not in [0, 1]"
-            )
-        if self.tournament_size < 1:
-            raise ConfigInvalid(f"tournament_size must be >= 1, got {self.tournament_size}")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ConfigInvalid(
-                f"elite_count {self.elite_count} must lie in [0, population_size)"
             )
         if self.seed < 0:
             raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
@@ -280,7 +275,7 @@ class GaState:
     ``population`` and ``fitness`` are prefix views of ``buffers[0]`` and
     ``fitness_buffers[0]``; a step writes the next generation into the
     spares, ``buffers[1]`` and ``fitness_buffers[1]``, and then swaps each
-    pair. Every buffer has room for the elites plus both children of every
+    pair. Every buffer has room for the elite plus both children of every
     offspring pair (`step_generation`), one row more than the population
     when the offspring count is odd. ``scratch`` holds one row per
     offspring pair, for crossover to swap tails through. The gene buffers,
@@ -321,8 +316,8 @@ def init_state(
     problem = CompiledProblem(instance, constraints)
     rng = np.random.default_rng(config.seed)
     size = config.population_size
-    n_pairs = _pair_count(config)
-    rows = config.elite_count + 2 * n_pairs
+    n_pairs = size // 2  # pairs of offspring for all but the elite, rounded up
+    rows = 1 + 2 * n_pairs
     L = problem.length
     buffers = tuple(np.empty((rows, L), dtype=np.int32) for _ in range(2))
     population = buffers[0][:size]
@@ -350,37 +345,22 @@ def init_state(
     return state
 
 
-def _tournament_winners(
-    fitness: np.ndarray, count: int, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Indices of `count` tournament winners; lower fitness wins, equal
-    fitness resolved toward the lower population index."""
-    contestants = rng.integers(0, len(fitness), size=(count, size))
-    winner = contestants[:, 0]
-    winner_fit = fitness[winner]
-    for k in range(1, size):
-        rival = contestants[:, k]
-        rival_fit = fitness[rival]
-        better = (rival_fit < winner_fit) | (
-            (rival_fit == winner_fit) & (rival < winner)
-        )
-        winner = np.where(better, rival, winner)
-        winner_fit = np.where(better, rival_fit, winner_fit)
-    return winner
-
-
-def _pair_count(config: GaConfig) -> int:
-    """Offspring pairs per generation; an odd offspring count drops the
-    second child of the last pair."""
-    return (config.population_size - config.elite_count + 1) // 2
+def _tournament_winners(fitness: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of `count` binary tournament winners, the two contestants
+    drawn with replacement; lower fitness wins, equal fitness resolved
+    toward the lower population index."""
+    a, b = rng.integers(0, len(fitness), size=(count, 2)).T
+    b_wins = (fitness[b] < fitness[a]) | ((fitness[b] == fitness[a]) & (b < a))
+    return np.where(b_wins, b, a)
 
 
 def step_generation(state: GaState) -> GaState:
-    """Advance one generation: keep the elites, refill with offspring.
+    """Advance one generation: keep the best individual, refill with
+    offspring.
 
-    The next generation is written into the spare buffers, elites first,
-    and the buffers are then swapped, so the population read by the step
-    is never written during it. Offspring evaluation stops at the
+    The next generation is written into the spare buffers, the elite in
+    row 0, and the buffers are then swapped, so the population read by
+    the step is never written during it. Offspring evaluation stops at the
     evaluation budget; a truncated final generation keeps only its
     evaluated offspring (a shorter prefix view of the buffer), so the
     counter never passes ``max_evaluations``. A state whose budget is
@@ -395,14 +375,13 @@ def step_generation(state: GaState) -> GaState:
     problem = state.problem
     rng = state.rng
     L = problem.length
-    elites = cfg.elite_count
-    n_off = cfg.population_size - elites
-    n_pairs = _pair_count(cfg)
+    n_off = cfg.population_size - 1
+    n_pairs = len(state.scratch)
     genes, fitness = state.buffers[1], state.fitness_buffers[1]
 
-    elite_idx = np.argsort(state.fitness, kind="stable")[:elites]
-    winners = _tournament_winners(state.fitness, 2 * n_pairs, cfg.tournament_size, rng)
-    children = genes[elites:]
+    elite = int(np.argmin(state.fitness))
+    winners = _tournament_winners(state.fitness, 2 * n_pairs, rng)
+    children = genes[1:]
     # winners are valid rows, so "clip" never clips; unlike "raise", it
     # writes into `out` without an intermediate buffer
     np.take(state.population, winners, axis=0, out=children, mode="clip")
@@ -416,25 +395,19 @@ def step_generation(state: GaState) -> GaState:
     np.copyto(child_b, state.scratch, where=tail)
     offspring = children[:n_off]
 
-    rate = (
-        cfg.mutation_rate_per_gene
-        if cfg.mutation_rate_per_gene is not None
-        else 1.0 / L
-    )
-    flips = rng.binomial(offspring.size, rate)
+    flips = rng.binomial(offspring.size, cfg.mutations_per_genotype / L)
     rows, cols = np.divmod(rng.choice(offspring.size, flips, replace=False), L)
     if len(rows):
         offspring[rows, cols] = rng.integers(problem.gene_lo[cols], problem.gene_hi[cols] + 1)
 
     n_kept = min(n_off, cfg.max_evaluations - state.evaluations_used)
-    genes[:elites] = state.population[elite_idx]
-    fitness[:elites] = state.fitness[elite_idx]
-    fitness[elites : elites + n_kept] = problem.fitness_batch(offspring[:n_kept])
+    genes[0], fitness[0] = state.population[elite], state.fitness[elite]
+    fitness[1 : 1 + n_kept] = problem.fitness_batch(offspring[:n_kept])
 
     state.buffers = state.buffers[::-1]
     state.fitness_buffers = state.fitness_buffers[::-1]
-    state.population = genes[: elites + n_kept]
-    state.fitness = fitness[: elites + n_kept]
+    state.population = genes[: 1 + n_kept]
+    state.fitness = fitness[: 1 + n_kept]
     state.evaluations_used += n_kept
     state.generation += 1
     state._note_best()

@@ -404,10 +404,6 @@ def _nominal_genotype(instance: Instance, phases: dict[str, int]) -> codec.Genot
     return codec.Genotype(tuple(genes.tolist()))
 
 
-def _nominal_timetable(instance: Instance, phases: dict[str, int]) -> Timetable:
-    return codec.decode(_nominal_genotype(instance, phases), instance)
-
-
 # ---------------------------------------------------------------------------
 # case study 1: small interconnected network, four lines over ten stations
 
@@ -506,7 +502,7 @@ def build_cs1() -> Instance:
         ),
     )
 
-    reference = _nominal_timetable(skeleton, _CS1_PHASE)
+    reference = codec.decode(_nominal_genotype(skeleton, _CS1_PHASE), skeleton)
     connections = []
     for feeder, onward, station in _CS1_TRANSFERS:
         gap = (
@@ -698,13 +694,13 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         for delta in range(T):
             for train_id in movable:
                 phases[train_id] = (base[train_id] + delta) % T
-            tt = _nominal_timetable(skeleton, phases)
+            tt = codec.decode(_nominal_genotype(skeleton, phases), skeleton)
             if not model.evaluate(tt, relevant, skeleton.weights).violated:
                 break
         else:
             return None
 
-    reference = _nominal_timetable(skeleton, phases)
+    reference = codec.decode(_nominal_genotype(skeleton, phases), skeleton)
     if model.evaluate(reference, pairwise, skeleton.weights).violated:
         return None
 

@@ -10,7 +10,7 @@ import pytest
 
 import perisched
 from perisched import cli, codec, instances, model
-from perisched.errors import BoundInversion
+from perisched.errors import BoundInversion, ConfigInvalid
 from perisched.model import Event, Segment, Timetable, Train, Trip
 
 from conftest import make_instance, micro_single_track, micro_unsat_connection
@@ -373,6 +373,17 @@ class TestExperiment:
         assert code == 64
         assert "base seed must be >= 0, got -1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("wrong", [float, bool])
+    @pytest.mark.parametrize(
+        "field", ["population_sizes", "eval_limits", "runs", "base_seed", "workers"]
+    )
+    def test_non_integer_spec_is_refused(self, field, wrong):
+        valid = dict(population_sizes=(50,), eval_limits=(500,), runs=1, base_seed=1, workers=1)
+        value = valid[field]
+        bad = tuple(map(wrong, value)) if type(value) is tuple else wrong(value)
+        with pytest.raises(ConfigInvalid, match=field):
+            cli.ExperimentSpec(**{**valid, field: bad})
 
     def test_per_size_breakdown(self, tmp_path, capsys):
         out = self.run_experiment_cli(tmp_path, capsys, "--per-size")

@@ -33,12 +33,12 @@ class TestConfig:
         "field,value",
         [
             ("population_size", 1),
+            ("population_size", 50.0),
             ("max_evaluations", 10),
-            ("crossover_rate", 1.5),
-            ("mutation_rate_per_gene", -0.1),
-            ("tournament_size", 0),
-            ("elite_count", 300),
+            ("max_evaluations", 500.0),
             ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -49,49 +49,41 @@ class TestConfig:
 
 
 class TestSelectParent:
-    """Parent selection: the batch tournament `_tournament_winners`."""
-
-    def test_tournament_covering_population_returns_best(self):
-        fitness = np.array([9, 3, 7, 1, 8, 2])
-        winners = engine._tournament_winners(fitness, 25, 60, np.random.default_rng(0))
-        assert np.all(winners == 3)
-
-    def test_size_one_is_uniform_pick(self):
-        fitness = np.array([5, 5, 5, 5])
-        winners = engine._tournament_winners(fitness, 200, 1, np.random.default_rng(1))
-        assert set(winners.tolist()) == {0, 1, 2, 3}
+    """Parent selection: the binary tournament `_tournament_winners`."""
 
     def test_selection_frequency_matches_analytic_probability(self):
-        # fitness [0, 10, 10], size 2 with replacement: the best individual
-        # wins unless both draws avoid index 0: 1 - (2/3)^2 = 5/9
+        # fitness [0, 10, 10], two draws with replacement: the best
+        # individual wins unless both draws avoid index 0: 1 - (2/3)^2 = 5/9
         fitness = np.array([0, 10, 10])
         n = 20000
-        winners = engine._tournament_winners(fitness, n, 2, np.random.default_rng(2))
+        winners = engine._tournament_winners(fitness, n, np.random.default_rng(2))
         assert abs(np.mean(winners == 0) - 5 / 9) < 0.02
 
     def test_ties_break_to_lower_contestant_index(self):
         # all fitnesses equal: the winner is the lowest drawn index, so
         # index 0 wins exactly when either of the two draws hits it (3/4)
         n = 20000
-        winners = engine._tournament_winners(np.array([4, 4]), n, 2, np.random.default_rng(3))
+        winners = engine._tournament_winners(np.array([4, 4]), n, np.random.default_rng(3))
         assert abs(np.mean(winners == 0) - 3 / 4) < 0.02
 
 
-def step_offspring(instance, population, seed=0, **knobs):
-    """Offspring of one `step_generation` from `population`, no elites.
-    Row i and row n/2 + i are siblings: children of the same two parents."""
-    config = GaConfig(
-        population_size=len(population),
-        max_evaluations=10 * len(population),
-        elite_count=0,
-        seed=seed,
-        **knobs,
-    )
+def set_operators(monkeypatch, crossover_rate, mutations_per_genotype):
+    """Replace the GA's fixed operator constants for one test."""
+    monkeypatch.setattr(GaConfig, "crossover_rate", crossover_rate)
+    monkeypatch.setattr(GaConfig, "mutations_per_genotype", mutations_per_genotype)
+
+
+def step_offspring(instance, population, seed=0):
+    """Offspring of one `step_generation` from `population`. The step runs
+    on one more row, a copy of the first, and its elite row is dropped, so
+    row i and row n/2 + i are siblings: children of the same two parents."""
+    size = len(population) + 1
+    config = GaConfig(population_size=size, max_evaluations=10 * size, seed=seed)
     state = engine.init_state(instance, model.derive_bounds(instance), config)
-    state.population = population.copy()
+    state.population = np.concatenate([population[:1], population])
     state.fitness = state.problem.fitness_batch(state.population)
     engine.step_generation(state)
-    return state.population
+    return state.population[1:]
 
 
 def lo_hi_population(problem, size):
@@ -102,24 +94,21 @@ def lo_hi_population(problem, size):
 class TestCrossover:
     """One-point crossover inside `step_generation`, mutation off."""
 
-    def test_identical_parents_clone(self, cs1):
+    def test_identical_parents_clone(self, cs1, monkeypatch):
+        set_operators(monkeypatch, 1.0, 0)
         problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
         row = problem.random_population(1, np.random.default_rng(0))
-        offspring = step_offspring(
-            cs1, np.repeat(row, 20, axis=0), crossover_rate=1.0, mutation_rate_per_gene=0.0
-        )
+        offspring = step_offspring(cs1, np.repeat(row, 20, axis=0))
         assert np.array_equal(offspring, np.repeat(row, 20, axis=0))
 
-    def test_cut_mixes_prefix_and_suffix(self, cs1):
+    def test_cut_mixes_prefix_and_suffix(self, cs1, monkeypatch):
+        set_operators(monkeypatch, 1.0, 0)
         problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
         lo, hi = problem.gene_lo, problem.gene_hi
         assert np.all(lo < hi)  # every column tells the two parents apart
         L, pairs, crossed = problem.length, 20, 0
         for seed in range(5):
-            offspring = step_offspring(
-                cs1, lo_hi_population(problem, 2 * pairs), seed,
-                crossover_rate=1.0, mutation_rate_per_gene=0.0,
-            )
+            offspring = step_offspring(cs1, lo_hi_population(problem, 2 * pairs), seed)
             for a, b in zip(offspring[:pairs], offspring[pairs:]):
                 if np.array_equal(a, b):
                     assert np.array_equal(a, lo) or np.array_equal(a, hi)
@@ -134,22 +123,19 @@ class TestCrossover:
                 assert np.all(from_lo[cut:] != from_lo[0])
         assert crossed > 0
 
-    def test_rate_zero_never_crosses(self, cs1):
+    def test_rate_zero_never_crosses(self, cs1, monkeypatch):
+        set_operators(monkeypatch, 0.0, 0)
         problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
-        offspring = step_offspring(
-            cs1, lo_hi_population(problem, 40), crossover_rate=0.0, mutation_rate_per_gene=0.0
-        )
+        offspring = step_offspring(cs1, lo_hi_population(problem, 40))
         for row in offspring:
             assert np.array_equal(row, problem.gene_lo) or np.array_equal(row, problem.gene_hi)
 
-    def test_offspring_never_alias_the_parents(self, cs1):
+    def test_offspring_never_alias_the_parents(self, cs1, monkeypatch):
         # children are crossed and mutated in place in the spare buffer: the
-        # previous population, elites included, must come out of a step
+        # previous population, elite included, must come out of a step
         # untouched, also once each of the two buffers has been reused
-        config = GaConfig(
-            population_size=21, max_evaluations=10_000, crossover_rate=1.0,
-            mutation_rate_per_gene=1.0, elite_count=3, seed=4,
-        )
+        set_operators(monkeypatch, 1.0, len(cs1.event_index.events))  # every gene flips
+        config = GaConfig(population_size=21, max_evaluations=10_000, seed=4)
         state = engine.init_state(cs1, model.derive_bounds(cs1), config)
         for _ in range(6):
             parents = state.population
@@ -176,9 +162,10 @@ class TestCrossover:
         for c in range(1, L):
             assert np.array_equal(state.tails[L - c], np.arange(L) >= c)
 
-    def test_offspring_stay_in_bounds(self, cs1):
+    def test_offspring_stay_in_bounds(self, cs1, monkeypatch):
+        monkeypatch.setattr(GaConfig, "crossover_rate", 1.0)
         constraints = model.derive_bounds(cs1)
-        config = GaConfig(population_size=100, max_evaluations=10_000, crossover_rate=1.0, seed=3)
+        config = GaConfig(population_size=100, max_evaluations=10_000, seed=3)
         state = engine.init_state(cs1, constraints, config)
         for _ in range(20):
             engine.step_generation(state)
@@ -189,28 +176,29 @@ class TestCrossover:
 class TestMutate:
     """Per-gene mutation inside `step_generation`, crossover off."""
 
-    def test_rate_zero_is_identity(self, cs1):
+    def test_rate_zero_is_identity(self, cs1, monkeypatch):
+        set_operators(monkeypatch, 0.0, 0)
         problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
         population = problem.random_population(30, np.random.default_rng(0))
-        offspring = step_offspring(cs1, population, crossover_rate=0.0, mutation_rate_per_gene=0.0)
+        offspring = step_offspring(cs1, population)
         parents = {tuple(row) for row in population.tolist()}
         assert all(tuple(row) in parents for row in offspring.tolist())
 
-    def test_degenerate_bounds_identity_at_full_rate(self):
+    def test_degenerate_bounds_identity_at_full_rate(self, monkeypatch):
         inst = micro_unsat_connection()  # both running windows are [3, 3]
         problem = engine.CompiledProblem(inst, model.derive_bounds(inst))
+        set_operators(monkeypatch, 0.0, problem.length)
         fixed = problem.gene_lo == problem.gene_hi
         assert fixed.any() and not fixed.all()
         population = problem.random_population(20, np.random.default_rng(1))
-        offspring = step_offspring(inst, population, crossover_rate=0.0, mutation_rate_per_gene=1.0)
+        offspring = step_offspring(inst, population)
         assert np.all(offspring[:, fixed] == problem.gene_lo[fixed])
 
-    def test_full_rate_resamples_uniformly(self, cs1):
+    def test_full_rate_resamples_uniformly(self, cs1, monkeypatch):
         problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        set_operators(monkeypatch, 0.0, problem.length)
         population = np.repeat(problem.gene_lo[None, :], 4000, axis=0)
-        offspring = step_offspring(
-            cs1, population, seed=2, crossover_rate=0.0, mutation_rate_per_gene=1.0
-        )
+        offspring = step_offspring(cs1, population, seed=2)
         first = offspring[:, problem.gene_hi == cs1.period - 1]  # first departures
         counts = np.bincount(first.ravel(), minlength=cs1.period)
         expected = first.size / cs1.period
@@ -218,12 +206,11 @@ class TestMutate:
         assert counts.max() < expected * 1.2
 
     @pytest.mark.parametrize("rate", [0.05, 0.3])
-    def test_intermediate_rate_flips_each_gene_independently(self, cs1, rate):
+    def test_intermediate_rate_flips_each_gene_independently(self, cs1, rate, monkeypatch):
         problem = engine.CompiledProblem(cs1, model.derive_bounds(cs1))
+        set_operators(monkeypatch, 0.0, rate * problem.length)
         population = np.repeat(problem.gene_lo[None, :], 4000, axis=0)
-        offspring = step_offspring(
-            cs1, population, seed=5, crossover_rate=0.0, mutation_rate_per_gene=rate
-        )
+        offspring = step_offspring(cs1, population, seed=5)
         changed = offspring != problem.gene_lo
         # a flip of a first departure resamples all `period` values, so it
         # shows unless it draws gene_lo again
@@ -233,11 +220,10 @@ class TestMutate:
         assert abs(first.mean() - expected) < 4 * stderr
         assert changed.any(axis=0).all()  # every column is hit
 
-    def test_stays_in_bounds(self, cs1):
+    def test_stays_in_bounds(self, cs1, monkeypatch):
+        monkeypatch.setattr(GaConfig, "mutations_per_genotype", 0.3 * len(cs1.event_index.events))
         constraints = model.derive_bounds(cs1)
-        config = GaConfig(
-            population_size=60, max_evaluations=10_000, mutation_rate_per_gene=0.3, seed=3
-        )
+        config = GaConfig(population_size=60, max_evaluations=10_000, seed=3)
         state = engine.init_state(cs1, constraints, config)
         for _ in range(20):
             engine.step_generation(state)
@@ -630,9 +616,8 @@ class TestRun:
         with pytest.raises(EvaluatorMismatch, match="running"):
             engine.run(inst, constraints, tiny_config())
 
-    @pytest.mark.parametrize("elites", [0, 1])
-    def test_step_on_a_spent_budget_is_refused(self, cs1, elites):
-        config = GaConfig(population_size=20, max_evaluations=20, elite_count=elites)
+    def test_step_on_a_spent_budget_is_refused(self, cs1):
+        config = GaConfig(population_size=20, max_evaluations=20)
         state = engine.init_state(cs1, model.derive_bounds(cs1), config)
         with pytest.raises(ConfigInvalid, match="budget spent: 20 of 20 evaluations"):
             engine.step_generation(state)
@@ -696,19 +681,18 @@ class TestRun:
     def test_elitist_best_never_worsens(self):
         inst = micro_three_trains()
         constraints = model.derive_bounds(inst)
-        state = engine.init_state(inst, constraints, tiny_config(elite_count=1))
+        state = engine.init_state(inst, constraints, tiny_config())
         history = [state.best_fitness]
         for _ in range(30):
             engine.step_generation(state)
             history.append(state.best_fitness)
         assert all(b <= a for a, b in zip(history, history[1:]))
 
-    def test_fixed_point_without_variation(self):
+    def test_fixed_point_without_variation(self, monkeypatch):
+        set_operators(monkeypatch, 0.0, 0)
         inst = micro_three_trains()
         constraints = model.derive_bounds(inst)
-        config = tiny_config(
-            crossover_rate=0.0, mutation_rate_per_gene=0.0, population_size=8
-        )
+        config = tiny_config(population_size=8)
         state = engine.init_state(inst, constraints, config)
         state.population = np.repeat(state.population[:1], 8, axis=0)
         state.fitness = state.problem.fitness_batch(state.population)

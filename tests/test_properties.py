@@ -265,7 +265,6 @@ def test_anytime_answers_are_separate_runs(instance, population, seed, data):
     config = engine.GaConfig(
         population_size=population,
         max_evaluations=max(limits),
-        elite_count=data.draw(st.integers(0, min(3, population - 1))),
         seed=seed,
     )
     together = engine.run_anytime(instance, constraints, config, limits)

@@ -32,6 +32,14 @@ def test_removed_names_are_gone(owner, name):
     assert name not in getattr(owner, "__all__", ())
 
 
+@pytest.mark.parametrize(
+    "name", ["crossover_rate", "mutation_rate_per_gene", "tournament_size", "elite_count"]
+)
+def test_removed_ga_config_arguments_are_refused(name):
+    with pytest.raises(TypeError):
+        engine.GaConfig(**{name: 1})
+
+
 # (owner, attribute) pairs that the benchmark wraps through `owner.__dict__`
 BENCHMARK_WRAPS = [
     (instances, "load"),
@@ -63,3 +71,15 @@ def test_benchmark_genotype_stream_resolves(cs1):
     genotype = codec.random_genotype((lo, hi), np.random.default_rng(0))
     assert isinstance(genotype, codec.Genotype) and len(genotype) == 64
     assert all(type(g) is int for g in genotype.genes)
+
+
+def test_benchmark_reads_full_rows_off_a_step(cs1):
+    # the benchmark counts offspring past `config.elite_count` and decodes
+    # the best and sampled population rows as whole genotypes
+    config = engine.GaConfig(population_size=20, max_evaluations=100, seed=0)
+    state = engine.init_state(cs1, model.derive_bounds(cs1), config)
+    engine.step_generation(state)
+    assert state.config.elite_count == 1
+    length = state.problem.length
+    assert state.population.shape == (20, length) and state.best_genes.shape == (length,)
+    codec.decode(codec.Genotype(tuple(int(g) for g in state.best_genes)), cs1)
