@@ -60,8 +60,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         counts = [("runs", self.runs), ("base_seed", self.base_seed), ("workers", self.workers)]
-        counts += [("population_sizes", v) for v in self.population_sizes]
-        counts += [("eval_limits", v) for v in self.eval_limits]
+        for name in ("population_sizes", "eval_limits"):
+            values = getattr(self, name)
+            if type(values) is not tuple:
+                raise ConfigInvalid(f"{name}: {values!r} is not a tuple of integers")
+            counts += [(name, v) for v in values]
         for name, value in counts:
             if type(value) is not int:
                 raise ConfigInvalid(f"{name}: {value!r} is not an integer")

@@ -11,21 +11,20 @@ single-track, connection); zero fitness is a timetable satisfying
 everything.
 
 The generation step operates on the whole population as numpy arrays.
-A run owns two int32 population buffers: each step gathers the tournament
+A run owns two population buffers: each step gathers the tournament
 winners straight into the spare one, crosses and mutates them there, adds
 the elite, and then swaps the two, so the population a step reads is
-never written during that step. Genes are drawn as int64 and stored as
-int32, which is exact because every gene lies in [0, period) and a
+never written during that step. Genes are drawn as int64 and stored in
+`CompiledProblem.gene_dtype` (int8 at period 60), which is exact since a
 `model.Instance` cannot be built with a period of `model.INT_CAP` or more.
 Mutation draws one binomial flip count for the whole generation and then
 that many distinct gene positions, which is distributed exactly as an
-independent flip per gene. Crossover reads each child's tail mask off
-one read-only sliding window (`GaState.tails`). Fitness accumulates only
-the genes that the event times read by pairwise constraints depend on,
-event-major: one row per kept gene column, one column per individual,
-scanned one section position at a time, in int32 unless the instance's
-sums could outgrow it (`CompiledProblem`). `codec.decode_array` stays the
-row-major decoder for full timetables.
+independent flip per gene. Crossover swaps each pair's tails by a masked
+XOR, its masks read off one read-only sliding window (`GaState.tails`).
+Fitness gathers the genes that pairwise constraints read, widens them in
+one copy and sums them event-major, one section position at a time, in
+int32 unless the instance's sums could outgrow it (`CompiledProblem`).
+`codec.decode_array` stays the row-major decoder for full timetables.
 """
 
 from __future__ import annotations
@@ -138,9 +137,10 @@ class CompiledProblem:
     that each window lies in ``(-period, period)``, as `model.derive_bounds`
     makes it. Every bundled and generated network runs in int32, whose
     floor division costs a third of int64's on a dense 310 x 300 pair
-    matrix (2-core x86, numpy 2.4); the GA's int32 genes then enter the
-    kernel uncopied. Per-family counts add up in int32 and are returned as
-    int64, so that a count times a weight below 2**31 cannot wrap.
+    matrix (2-core x86, numpy 2.4). The GA stores genes in `gene_dtype`,
+    the narrowest of int8, int16 and int32 that holds every window; the
+    kernel widens the kept columns it gathers in one copy. Per-family
+    counts add up in int32 and are returned as int64.
 
     The pair stage (each pair's two row takes, their difference, the
     window rule and the violation mask) writes into arrays kept between
@@ -166,6 +166,8 @@ class CompiledProblem:
         # that plus 2 * period (windows lie in (-period, period))
         wide = 2 * self.length * max(-lo, hi) + 2 * self.period >= model.INT_CAP
         self.dtype = np.int64 if wide else np.int32
+        # the narrowest signed type holding both lo and hi (its max is -min - 1)
+        self.gene_dtype = np.min_scalar_type(min(lo, -hi - 1))
 
         # running and dwell hold by construction: their slices stay empty
         pairs: list[model.PeriodicConstraint] = []
@@ -279,11 +281,11 @@ class GaState:
     offspring pair (`step_generation`), one row more than the population
     when the offspring count is odd. ``scratch`` holds one row per
     offspring pair, for crossover to swap tails through. The gene buffers,
-    ``scratch`` and ``best_genes`` are int32 (see the module docstring).
-    ``tails`` is a read-only window of ``length + 1`` rows over
-    ``arange(2 * length) >= length``: row ``length - c`` is the tail mask
-    of a cut at column ``c`` and row 0 is all False, so crossover gathers
-    its masks in one row take.
+    ``scratch``, ``best_genes`` and ``tails`` are of `gene_dtype` (see the
+    module docstring). ``tails`` is a read-only window of ``length + 1``
+    rows over ``length`` zeros and ``length`` -1s (all bits set): row
+    ``length - c`` is the tail mask of a cut at column ``c`` and row 0 is
+    all 0, so crossover gathers its masks in one row take.
     """
 
     config: GaConfig
@@ -319,7 +321,7 @@ def init_state(
     n_pairs = size // 2  # pairs of offspring for all but the elite, rounded up
     rows = 1 + 2 * n_pairs
     L = problem.length
-    buffers = tuple(np.empty((rows, L), dtype=np.int32) for _ in range(2))
+    buffers = tuple(np.empty((rows, L), dtype=problem.gene_dtype) for _ in range(2))
     population = buffers[0][:size]
     population[...] = problem.random_population(size, rng)
     first = problem.fitness_batch(population)
@@ -338,8 +340,8 @@ def init_state(
         best_fitness=fitness[0].item(),
         buffers=buffers,
         fitness_buffers=fitness_buffers,
-        scratch=np.empty((n_pairs, L), dtype=np.int32),
-        tails=sliding_window_view(np.arange(2 * L) >= L, L),
+        scratch=np.empty((n_pairs, L), dtype=problem.gene_dtype),
+        tails=sliding_window_view(np.repeat(np.array([0, -1], dtype=problem.gene_dtype), L), L),
     )
     state._note_best()
     return state
@@ -352,6 +354,14 @@ def _tournament_winners(fitness: np.ndarray, count: int, rng: np.random.Generato
     a, b = rng.integers(0, len(fitness), size=(count, 2)).T
     b_wins = (fitness[b] < fitness[a]) | ((fitness[b] == fitness[a]) & (b < a))
     return np.where(b_wins, b, a)
+
+
+def _swap_tails(a: np.ndarray, b: np.ndarray, tail: np.ndarray, scratch: np.ndarray) -> None:
+    """Swap `a` and `b` in place where `tail` is -1, by XOR through `scratch`."""
+    swap = np.bitwise_xor(a, b, out=scratch)
+    swap &= tail
+    a ^= swap
+    b ^= swap
 
 
 def step_generation(state: GaState) -> GaState:
@@ -389,10 +399,7 @@ def step_generation(state: GaState) -> GaState:
 
     crossed = rng.random(n_pairs) < cfg.crossover_rate
     cuts = rng.integers(1, L, size=n_pairs)
-    tail = state.tails[np.where(crossed, L - cuts, 0)]
-    np.copyto(state.scratch, child_a, where=tail)
-    np.copyto(child_a, child_b, where=tail)
-    np.copyto(child_b, state.scratch, where=tail)
+    _swap_tails(child_a, child_b, state.tails[np.where(crossed, L - cuts, 0)], state.scratch)
     offspring = children[:n_off]
 
     flips = rng.binomial(offspring.size, cfg.mutations_per_genotype / L)

@@ -385,6 +385,14 @@ class TestExperiment:
         with pytest.raises(ConfigInvalid, match=field):
             cli.ExperimentSpec(**{**valid, field: bad})
 
+    @pytest.mark.parametrize("bad", [50, [50], range(50, 51)], ids=["int", "list", "range"])
+    @pytest.mark.parametrize("field", ["population_sizes", "eval_limits"])
+    def test_counts_must_come_as_a_tuple(self, field, bad):
+        # a bare int once raised "'int' object is not iterable"
+        valid = dict(population_sizes=(50,), eval_limits=(500,))
+        with pytest.raises(ConfigInvalid, match=f"^{field}: .* is not a tuple of integers$"):
+            cli.ExperimentSpec(**{**valid, field: bad})
+
     def test_per_size_breakdown(self, tmp_path, capsys):
         out = self.run_experiment_cli(tmp_path, capsys, "--per-size")
         lines = out.strip().splitlines()

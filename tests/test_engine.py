@@ -157,10 +157,12 @@ class TestCrossover:
         state = engine.init_state(instance, model.derive_bounds(instance), tiny_config())
         L = state.problem.length
         assert state.tails.shape == (L + 1, L)
+        assert state.tails.dtype == state.problem.gene_dtype
         assert not state.tails.flags.writeable
-        assert not state.tails[0].any()
+        assert np.array_equal(state.tails[0], np.zeros(L))  # an uncrossed pair swaps nothing
         for c in range(1, L):
-            assert np.array_equal(state.tails[L - c], np.arange(L) >= c)
+            # -1 has every bit set: the XOR swap exchanges whole genes there
+            assert np.array_equal(state.tails[L - c], np.where(np.arange(L) >= c, -1, 0))
 
     def test_offspring_stay_in_bounds(self, cs1, monkeypatch):
         monkeypatch.setattr(GaConfig, "crossover_rate", 1.0)
@@ -513,16 +515,71 @@ class TestPairStage:
         assert same_counts(first, before)
 
 
-class TestGeneStorage:
-    """The GA stores genes as int32, which `model.INT_CAP` makes exact."""
+def wide_window_instance(T):
+    """All five families at period T, with running and dwell windows
+    reaching T - 1, so that genes span [0, T - 1]."""
+    return make_instance(
+        T,
+        trains=[
+            Train("X", 2, (Trip("A", "B", 1, T - 1, 0, T - 1), Trip("B", "C", T // 2, T - 1))),
+            Train("Y", 3, (Trip("C", "B", 1, T - 1, T - 2, T - 1), Trip("B", "A", 1, 2))),
+            Train("Z", 5, (Trip("A", "B", T // 3, T - 1),)),
+        ],
+        segments=[Segment("B", "C", single_track=True)],
+        connections=[ConnectionSpec("X", "Y", "B", 5, T - 3)],
+    )
 
-    def test_buffers_are_int32(self, cs1):
-        state = engine.init_state(cs1, model.derive_bounds(cs1), tiny_config(population_size=21))
-        assert state.population.dtype == np.int32
-        assert [b.dtype for b in state.buffers] == [np.int32, np.int32]
-        assert state.scratch.dtype == np.int32
-        engine.step_generation(state)
-        assert state.population.dtype == np.int32 and state.best_genes.dtype == np.int32
+
+class TestGeneStorage:
+    """The GA stores genes in `CompiledProblem.gene_dtype`, the narrowest
+    of int8, int16 and int32 that holds every gene window; `model.INT_CAP`
+    makes int32 enough."""
+
+    def test_buffers_take_the_gene_dtype(self, cs1, cs2):
+        bundled_cs2 = instances.load(instances.bundled_path("cs2"))
+        for instance in (cs1, cs2, bundled_cs2):
+            config = tiny_config(population_size=21)
+            state = engine.init_state(instance, model.derive_bounds(instance), config)
+            dtype = state.problem.gene_dtype
+            assert dtype == np.int8  # period 60
+            for _ in range(2):
+                assert [b.dtype for b in state.buffers] == [dtype, dtype]
+                assert state.population.dtype == dtype and state.scratch.dtype == dtype
+                assert state.best_genes.dtype == dtype
+                engine.step_generation(state)
+
+    @pytest.mark.parametrize(
+        "period,dtype,narrower",
+        [
+            (128, np.int8, None),
+            (129, np.int16, np.int8),
+            (2**15, np.int16, np.int8),
+            (2**15 + 1, np.int32, np.int16),
+        ],
+    )
+    def test_genes_at_the_width_boundaries(self, period, dtype, narrower):
+        # genes up to period - 1 in the narrowest type that holds them: the
+        # final population scores the same as its int64 copy, and `run`'s
+        # re-check passes
+        inst = wide_window_instance(period)
+        constraints = model.derive_bounds(inst)
+        config = tiny_config(max_evaluations=200)
+        state = engine.init_state(inst, constraints, config)
+        problem = state.problem
+        assert problem.gene_dtype == dtype
+        bounds = np.stack([problem.gene_lo, problem.gene_hi])
+        assert bounds.min() == 0 and bounds.max() == period - 1
+        assert np.array_equal(bounds.astype(dtype), bounds)
+        if narrower is not None:
+            assert not np.array_equal(bounds.astype(narrower), bounds)
+        while state.evaluations_used < config.max_evaluations:
+            engine.step_generation(state)
+        wide = state.population.astype(np.int64)
+        assert np.all((wide >= problem.gene_lo) & (wide <= problem.gene_hi))
+        assert np.array_equal(problem.fitness_batch(wide), state.fitness)
+        result = engine.run(inst, constraints, config)
+        assert result.best_fitness == state.best_fitness
+        assert list(result.best_genotype.genes) == state.best_genes.tolist()
 
     @pytest.mark.parametrize("period", [model.INT_CAP, 2**32])
     def test_a_period_at_the_cap_is_refused(self, period):
@@ -545,6 +602,7 @@ class TestGeneStorage:
         constraints = model.derive_bounds(inst)
         config = tiny_config(max_evaluations=200)
         state = engine.init_state(inst, constraints, config)
+        assert state.problem.gene_dtype == np.int32
         while state.evaluations_used < config.max_evaluations:
             engine.step_generation(state)
         problem = state.problem

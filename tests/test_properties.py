@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from perisched import codec, engine, model, oracle
 from perisched.errors import TimetablingError
@@ -153,7 +154,8 @@ FRACTIONAL = WeightConfig(headway=10.1, single_track=10.3, connection=0.7)
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(cs2_like, st.sampled_from([WeightConfig(), FRACTIONAL]), st.integers(0, 2**32 - 1))
 def test_kernel_reads_int64_int32_and_strided_genes_alike(instance, weights, seed):
-    # the GA hands the kernel int32 rows; callers may pass int64, or a view
+    # the GA hands the kernel rows of `gene_dtype` (int8 here); callers may
+    # pass int64 or int32, or a view
     instance = dataclasses.replace(instance, weights=weights)
     constraints = model.derive_bounds(instance)
     problem = engine.CompiledProblem(instance, constraints)
@@ -161,8 +163,9 @@ def test_kernel_reads_int64_int32_and_strided_genes_alike(instance, weights, see
     narrow = genes.astype(np.int32)
     strided = np.repeat(narrow, 2, axis=0)[::2]
     assert not strided.flags.c_contiguous
+    assert problem.gene_dtype == np.int8
     counts = problem.violation_counts(genes)
-    for other in (narrow, strided):
+    for other in (narrow, strided, genes.astype(problem.gene_dtype)):
         other_counts = problem.violation_counts(other)
         assert all(np.array_equal(counts[kind], other_counts[kind]) for kind in ConstraintKind)
     fitness = problem.fitness_batch(strided)
@@ -171,6 +174,25 @@ def test_kernel_reads_int64_int32_and_strided_genes_alike(instance, weights, see
         report = model.evaluate(tt, constraints, weights)
         assert {kind: int(n[row]) for kind, n in counts.items()} == report.violations_by_type
         assert fitness[row] == report.weighted_fitness
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([np.int8, np.int16, np.int32]), st.integers(2, 30), st.integers(1, 6), st.data())
+def test_xor_swap_exchanges_tails(dtype, length, pairs, data):
+    # any genes of the type, negative ones included; cut None is a pair
+    # that is not crossed, which takes row 0 of the tail window (all 0)
+    a, b = data.draw(arrays(dtype, (2, pairs, length)))
+    cuts = data.draw(st.lists(st.none() | st.integers(1, length - 1), min_size=pairs, max_size=pairs))
+    tail = np.array(
+        [np.zeros(length) if c is None else np.where(np.arange(length) >= c, -1, 0) for c in cuts],
+        dtype=dtype,
+    )
+    children = np.concatenate([a, b])  # the step crosses the two halves of one buffer
+    engine._swap_tails(children[:pairs], children[pairs:], tail, np.empty_like(a))
+    for i, c in enumerate(cuts):
+        c = length if c is None else c
+        assert children[i].tolist() == [*a[i, :c], *b[i, c:]]
+        assert children[pairs + i].tolist() == [*b[i, :c], *a[i, c:]]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
