@@ -22,11 +22,12 @@ The interchange format is a single JSON document::
     }
 
 All times are integer minutes. The tables `_INSTANCE`, `_TRIP` and their
-siblings below are the schema: every allowed key, the kind of its value
-and its default. The final trip of a route omits "dwell_after"; a null
-there is rejected like any other value that is not a pair of integers.
-Unknown keys anywhere are rejected by name. Files are saved with
-stations first and trains ordered by id, so diffs stay stable.
+siblings below are the schema for both reading and writing: every allowed
+key in the order it is written, the kind of its value and its default.
+The final trip of a route omits "dwell_after"; a null there is rejected
+like any other value that is not a pair of integers. Default metadata is
+not written. Unknown keys anywhere are rejected by name. Files are saved
+with stations first and trains ordered by id, so diffs stay stable.
 
 Timetables use a sibling format::
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -79,19 +81,21 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-BUILTIN_NAMES = ("cs1", "cs2")
+_BUNDLED = {"cs1": "cs1.json", "cs2": "cs2_synthetic.json"}
+BUILTIN_NAMES = tuple(_BUNDLED)
 
 
 # ---------------------------------------------------------------------------
-# reading documents
+# reading and writing documents
 #
-# Each kind of JSON object has one table, read by `_fields`: it maps every
-# allowed key to the kind of its value and to its default, `...` where the
-# key is required. A kind is the exact JSON types its value may take (a
-# boolean is no integer) and how a message names them. A location in the
-# document, such as ("trip", 3, "of train", "L1a"), is a tuple of its words;
-# `_label` joins them only when a message needs them, so a valid document
-# formats no location at all.
+# Each kind of JSON object has one table, read by `_fields` and written by
+# `_document`: it maps every allowed key, in the order it is written, to the
+# kind of its value and to its default, `...` where the key is required. A
+# kind is the exact JSON types its value may take (a boolean is no integer)
+# and how a message names them. A location in the document, such as
+# ("trip", 3, "of train", "L1a"), is a tuple of its words; `_label` joins
+# them only when a message needs them, so a valid document formats no
+# location at all.
 
 _STRING = ((str,), "a string, got {!r}")
 _INT = ((int,), "an integer, got {!r}")
@@ -241,55 +245,49 @@ def load(path: str | Path) -> Instance:
     return _instance_from_document(_read_json(path))
 
 
+def _document(spec: dict, *values) -> dict:
+    """The JSON object with `values` under the keys of `spec`, in its
+    order: the inverse of `_fields`."""
+    return dict(zip(spec, values))
+
+
+def _trip_document(trip: Trip) -> dict:
+    doc = _document(
+        _TRIP,
+        trip.from_station,
+        trip.to_station,
+        [trip.running_lo, trip.running_hi],
+        [trip.dwell_after_lo, trip.dwell_after_hi],
+    )
+    if not trip.has_dwell:
+        del doc["dwell_after"]  # a route's final trip
+    return doc
+
+
 def _instance_document(instance: Instance) -> dict:
-    trains = sorted(instance.trains, key=lambda t: t.id)
-    segments = sorted(instance.segments, key=lambda s: s.pair())
-    doc: dict = {
-        "period": instance.period,
-        "stations": list(instance.stations),
-        "segments": [
-            {"from": s.from_station, "to": s.to_station, "single_track": s.single_track}
-            for s in segments
+    doc = _document(
+        _INSTANCE,
+        instance.period,
+        list(instance.stations),
+        [
+            _document(_SEGMENT, *dataclasses.astuple(s))
+            for s in sorted(instance.segments, key=Segment.pair)
         ],
-        "trains": [
-            {
-                "id": t.id,
-                "basic_headway": t.basic_headway,
-                "route": [
-                    {
-                        "from": trip.from_station,
-                        "to": trip.to_station,
-                        "running": [trip.running_lo, trip.running_hi],
-                        **(
-                            {"dwell_after": [trip.dwell_after_lo, trip.dwell_after_hi]}
-                            if trip.has_dwell
-                            else {}
-                        ),
-                    }
-                    for trip in t.route
-                ],
-            }
-            for t in trains
+        [
+            _document(_TRAIN, t.id, t.basic_headway, [_trip_document(trip) for trip in t.route])
+            for t in sorted(instance.trains, key=lambda t: t.id)
         ],
-        "connections": [
-            {
-                "feeder": c.feeder_train,
-                "onward": c.onward_train,
-                "station": c.station,
-                "window": [c.conn_lo, c.conn_hi],
-            }
+        [
+            _document(
+                _CONNECTION, c.feeder_train, c.onward_train, c.station, [c.conn_lo, c.conn_hi]
+            )
             for c in instance.connections
         ],
-        "weights": {
-            kind.value: instance.weights.weight_for(kind) for kind in ConstraintKind
-        },
-    }
-    if instance.meta != InstanceMeta():
-        doc["metadata"] = {
-            "name": instance.meta.name,
-            "synthetic": instance.meta.synthetic,
-            "notes": instance.meta.notes,
-        }
+        _document(_WEIGHTS, *dataclasses.astuple(instance.weights)),
+        _document(_METADATA, *dataclasses.astuple(instance.meta)),
+    )
+    if instance.meta == InstanceMeta():
+        del doc["metadata"]  # default metadata is left out
     return doc
 
 
@@ -306,19 +304,12 @@ def save(instance: Instance, path: str | Path) -> None:
 # timetable files
 
 def save_timetable(tt: Timetable, path: str | Path) -> None:
-    doc = {
-        "period": tt.period,
-        "events": [
-            {
-                "train": e.train,
-                "station": e.station,
-                "kind": e.kind.value,
-                "time": tt.times[e],
-            }
-            for e in sorted(tt.times)
-        ],
-    }
-    write_text(path, json.dumps(doc, indent=2) + "\n")
+    """Write a timetable with its events in their natural order."""
+    events = [
+        _document(_EVENT, train, station, kind.value, time)
+        for (train, station, kind), time in sorted(tt.times.items())
+    ]
+    write_text(path, json.dumps(_document(_TIMETABLE, tt.period, events), indent=2) + "\n")
 
 
 def load_timetable(path: str | Path, instance: Instance) -> Timetable:
@@ -359,14 +350,17 @@ def load_timetable(path: str | Path, instance: Instance) -> Timetable:
 
 def bundled_path(name: str) -> Path:
     """Filesystem path of a bundled instance ('cs1' or 'cs2')."""
-    if name not in BUILTIN_NAMES:
+    if name not in _BUNDLED:
         raise KeyError(f"no bundled instance named {name!r}")
-    filename = {"cs1": "cs1.json", "cs2": "cs2_synthetic.json"}[name]
-    return Path(str(resources.files("perisched") / "data" / filename))
+    return Path(str(resources.files("perisched") / "data" / _BUNDLED[name]))
 
 
 # ---------------------------------------------------------------------------
 # shared construction helpers
+
+def _edge(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
+
 
 def _line_trains(
     line_id: str,
@@ -381,12 +375,8 @@ def _line_trains(
         trips = []
         for k in range(len(path) - 1):
             a, b = path[k], path[k + 1]
-            lo, hi = run_windows[(a, b) if a <= b else (b, a)]
-            if k < len(path) - 2:
-                dlo, dhi = dwell_windows[b]
-                trips.append(Trip(a, b, lo, hi, dlo, dhi))
-            else:
-                trips.append(Trip(a, b, lo, hi))
+            dwell = dwell_windows[b] if k < len(path) - 2 else ()  # none after the last trip
+            trips.append(Trip(a, b, *run_windows[_edge(a, b)], *dwell))
         return Train(train_id, headway, tuple(trips))
 
     return (
@@ -402,6 +392,19 @@ def _nominal_genotype(instance: Instance, phases: dict[str, int]) -> codec.Genot
     genes = index.gene_lo + (index.gene_hi - index.gene_lo) // 2
     genes[index.section_offsets] = [phases[train.id] for train in instance.trains]
     return codec.Genotype(tuple(genes.tolist()))
+
+
+def _centred_connection(
+    reference: Timetable, feeder: str, onward: str, station: str, below: int, above: int
+) -> ConnectionSpec:
+    """The transfer from `feeder` to `onward` at `station`, its window
+    reaching `below` minutes under and `above` over the gap the reference
+    timetable leaves there (but never under 0)."""
+    gap = (
+        reference.of(Event.departure(onward, station))
+        - reference.of(Event.arrival(feeder, station))
+    ) % reference.period
+    return ConnectionSpec(feeder, onward, station, max(0, gap - below), gap + above)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +479,6 @@ def build_cs1() -> Instance:
     layout is a reconstruction built to the published summary counts of
     the original network, not its (unpublished) running times.
     """
-    T = _CS1_PERIOD
     dwell = {s: (2, 4) for s in "ABCDEFGHIJ"}
     trains: list[Train] = []
     for line_id, stations in _CS1_LINE_STATIONS.items():
@@ -489,7 +491,7 @@ def build_cs1() -> Instance:
         for a, b in sorted(_CS1_RUN)
     )
     skeleton = Instance(
-        period=T,
+        period=_CS1_PERIOD,
         stations=tuple("ABCDEFGHIJ"),
         segments=segments,
         trains=tuple(trains),
@@ -503,23 +505,11 @@ def build_cs1() -> Instance:
     )
 
     reference = codec.decode(_nominal_genotype(skeleton, _CS1_PHASE), skeleton)
-    connections = []
-    for feeder, onward, station in _CS1_TRANSFERS:
-        gap = (
-            reference.of(Event.departure(onward, station))
-            - reference.of(Event.arrival(feeder, station))
-        ) % T
-        connections.append(
-            ConnectionSpec(
-                feeder,
-                onward,
-                station,
-                max(0, gap - _CS1_CONN_SLACK),
-                gap + _CS1_CONN_SLACK,
-            )
-        )
-
-    return dataclasses.replace(skeleton, connections=tuple(connections))
+    connections = tuple(
+        _centred_connection(reference, *transfer, _CS1_CONN_SLACK, _CS1_CONN_SLACK)
+        for transfer in _CS1_TRANSFERS
+    )
+    return dataclasses.replace(skeleton, connections=connections)
 
 
 def cs1_reference_genotype() -> codec.Genotype:
@@ -542,10 +532,6 @@ _CS2_STATIONS = tuple(f"S{k:02d}" for k in range(1, 27))
 _CS2_PERIOD = 60
 _CS2_LINES = 24
 _CS2_CONNECTION_COUNT = 14
-
-
-def _edge(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def _walk(rng, length: int, used: set, path: list[str] | None = None) -> list[str] | None:
@@ -612,7 +598,7 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
     used: set[tuple[str, str]] = set()
     paths: list[list[str]] = []
     shared_edges: list[tuple[str, str]] = []
-    single_edges: list[tuple[str, str]] = []
+    single_edges: set[tuple[str, str]] = set()
 
     for line in range(_CS2_LINES):
         if line in (1, 3):
@@ -628,7 +614,7 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         if line in (0, 2):
             shared_edges.append(edges[len(edges) // 2])
         if line in (4, 5, 6):
-            single_edges.append(edges[len(edges) // 2])
+            single_edges.add(edges[len(edges) // 2])
 
     if set().union(*[set(p) for p in paths]) != set(_CS2_STATIONS):
         return None  # leave no station unserved
@@ -646,19 +632,15 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         dwell_windows[s] = (lo, lo + int(rng.integers(1, 4)))
 
     trains: list[Train] = []
-    line_ids = []
     for line, path in enumerate(paths):
         line_id = f"L{line + 1:02d}"
-        line_ids.append(line_id)
         headway = int(rng.integers(3, 6))
         trains.extend(
             _line_trains(line_id, path, run_windows, dwell_windows, headway)
         )
     trains.sort(key=lambda t: t.id)
 
-    segments = tuple(
-        Segment(a, b, (a, b) in set(single_edges)) for a, b in sorted(used)
-    )
+    segments = tuple(Segment(a, b, (a, b) in single_edges) for a, b in sorted(used))
 
     skeleton = Instance(
         period=T,
@@ -718,22 +700,17 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
     if len(candidates) < _CS2_CONNECTION_COUNT:
         return None
     picked = rng.choice(len(candidates), size=_CS2_CONNECTION_COUNT, replace=False)
-    connections = []
-    for index in sorted(int(i) for i in picked):
-        feeder, onward, station = candidates[index]
-        gap = (
-            reference.of(Event.departure(onward, station))
-            - reference.of(Event.arrival(feeder, station))
-        ) % T
-        slack_lo = int(rng.integers(1, 3))
-        slack_hi = int(rng.integers(1, 3))
-        connections.append(
-            ConnectionSpec(feeder, onward, station, max(0, gap - slack_lo), gap + slack_hi)
+    # two slack draws per window, below the gap and then above it: this
+    # order is part of every seed's network
+    connections = tuple(
+        _centred_connection(
+            reference, *candidates[i], int(rng.integers(1, 3)), int(rng.integers(1, 3))
         )
-
+        for i in sorted(picked.tolist())
+    )
     instance = dataclasses.replace(
         skeleton,
-        connections=tuple(connections),
+        connections=connections,
         meta=InstanceMeta(
             name=f"cs2-synthetic-{seed}",
             synthetic=True,
@@ -745,10 +722,7 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         ),
     )
     constraints = model.derive_bounds(instance)
-    census: dict[ConstraintKind, int] = {k: 0 for k in ConstraintKind}
-    for c in constraints:
-        census[c.kind] += 1
-    if census != _CS2_TARGET:
+    if Counter(c.kind for c in constraints) != _CS2_TARGET:
         return None
 
     # the reference pattern must satisfy everything, including connections

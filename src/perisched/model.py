@@ -245,17 +245,20 @@ class PeriodicConstraint:
 
 @dataclass(frozen=True)
 class Timetable:
-    """Canonical event times, each in ``[0, period)``."""
+    """Canonical event times: each an int (not a float, a bool or a numpy
+    integer) in ``[0, period)``."""
 
     period: int
     times: dict[Event, int]
 
     def __post_init__(self):
-        for event, t in self.times.items():
-            if not 0 <= t < self.period:
+        period = self.period
+        for t in self.times.values():  # the event is looked up only to name it
+            if type(t) is not int or not 0 <= t < period:
+                e = next(e for e, u in self.times.items() if u is t)
                 raise ValidationError(
-                    f"time {t} for {event.kind.value} of {event.train} at "
-                    f"{event.station} is outside [0, {self.period})"
+                    f"time {t!r} for {e.kind.value} of {e.train} at {e.station} "
+                    f"must be an integer in [0, {period})"
                 )
 
     def of(self, event: Event) -> int:

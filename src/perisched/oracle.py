@@ -3,7 +3,7 @@
 Nothing here uses the main evaluator: `_checklist` re-derives every
 constraint from the instance, and `_wrap_trial` tries the wrap offsets
 explicitly instead of reducing modulo the period. `exhaustive_min` scores
-a whole stride lattice of genotypes that way, to check that the search
+every genotype within the gene windows that way, to check that the search
 engine cannot do better; `check_independent` scores one timetable, and
 `engine.run` re-checks its best against it.
 
@@ -24,24 +24,14 @@ import numpy as np
 from . import codec, model
 from .errors import SpaceTooLarge
 
-__all__ = ["exhaustive_min", "check_independent", "lattice", "lattice_size"]
+__all__ = ["exhaustive_min", "check_independent", "lattice_size"]
 
 
-def lattice(lo: int, hi: int, stride: int) -> tuple[int, ...]:
-    """Values lo, lo+stride, ... plus hi itself, so both window edges are
-    always exercised."""
-    if stride < 1:
-        raise ValueError(f"lattice stride must be >= 1, got {stride}")
-    vals = list(range(lo, hi + 1, stride))
-    if vals[-1] != hi:
-        vals.append(hi)
-    return tuple(vals)
-
-
-def lattice_size(instance: model.Instance, stride: int = 1) -> int:
+def lattice_size(instance: model.Instance) -> int:
+    """The number of genotypes within the gene windows: the product of
+    their widths."""
     layout = instance.event_index
-    windows = zip(layout.gene_lo.tolist(), layout.gene_hi.tolist())
-    return math.prod(len(lattice(lo, hi, stride)) for lo, hi in windows)
+    return math.prod((layout.gene_hi - layout.gene_lo + 1).tolist())
 
 
 def _wrap_trial(raw, lo, hi, period):
@@ -54,11 +44,10 @@ def _wrap_trial(raw, lo, hi, period):
 
 
 def exhaustive_min(
-    instance: model.Instance,
-    stride: int = 1,
-    space_cap: int = 10**8,
+    instance: model.Instance, *, space_cap: int = 10**8
 ) -> tuple[int | float, codec.Genotype]:
-    """Exact lattice minimum of the full weighted fitness.
+    """Exact minimum of the full weighted fitness over every genotype
+    within the gene windows.
 
     Genotypes are decoded a block at a time and scored by wrap trial over
     `_checklist`; `model.weighted_fitness` turns the counts into fitness,
@@ -67,9 +56,7 @@ def exhaustive_min(
     only strict improvements replace the best.
     """
     layout = instance.event_index
-    windows = zip(layout.gene_lo.tolist(), layout.gene_hi.tolist())
-    axes = [np.asarray(lattice(lo, hi, stride)) for lo, hi in windows]
-    shape = tuple(len(a) for a in axes)
+    shape = tuple((layout.gene_hi - layout.gene_lo + 1).tolist())
     size = math.prod(shape)
     if size > space_cap:
         raise SpaceTooLarge(size, space_cap)
@@ -78,12 +65,12 @@ def exhaustive_min(
     family = {
         k: [i for i, c in enumerate(checklist) if c.kind is k] for k in model.ConstraintKind
     }
-    rows = max(1, (1 << 20) // max(len(axes), len(checklist)))  # ~2**20 entries per array
+    rows = max(1, (1 << 20) // max(len(shape), len(checklist)))  # ~2**20 entries per array
 
     best_fitness, best_genes = math.inf, None
     for start in range(0, size, rows):
         index = np.unravel_index(np.arange(start, min(start + rows, size)), shape)
-        genes = np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+        genes = layout.gene_lo + np.stack(index, axis=1)
         events = codec.decode_array(genes, instance)
         bad = ~_wrap_trial(events[:, y] - events[:, x], lo, hi, instance.period)
         counts = {k: np.count_nonzero(bad[:, cols], axis=1) for k, cols in family.items()}

@@ -78,7 +78,7 @@ def test_criterion_3_oracle_optimality():
     lines = []
     for name in sorted(MICRO_BUILDERS):
         inst = MICRO_BUILDERS[name]()
-        assert oracle.lattice_size(inst, 1) <= 10**6
+        assert oracle.lattice_size(inst) <= 10**6
         best, _ = oracle.exhaustive_min(inst)
         constraints = model.derive_bounds(inst)
         matches = 0

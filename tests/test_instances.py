@@ -164,6 +164,23 @@ class TestTimetableFiles:
         instances.save_timetable(tt, path)
         assert instances.load_timetable(path, cs1) == tt
 
+    def test_saved_bytes_are_pinned(self, cs1, cs2, tmp_path):
+        # sha256 of the saved files of cs1's reference timetable and of a
+        # seeded random cs1 and cs2 timetable, in that order: key order,
+        # event order and layout all feed into it
+        rng = np.random.default_rng(8)
+        timetables = [
+            codec.decode(instances.cs1_reference_genotype(), cs1),
+            random_timetable(cs1, rng),
+            random_timetable(cs2, rng),
+        ]
+        digest = hashlib.sha256()
+        path = tmp_path / "tt.json"
+        for tt in timetables:
+            instances.save_timetable(tt, path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest()[:16] == "eb092797a68c60cd"
+
     def test_missing_event_detected(self, cs1, tmp_path):
         tt = random_timetable(cs1, np.random.default_rng(5))
         times = dict(tt.times)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -593,3 +594,11 @@ class TestValidation:
     def test_timetable_time_out_of_range(self):
         with pytest.raises(ValidationError):
             Timetable(60, {Event.arrival("t", "A"): 60})
+
+    @pytest.mark.parametrize("time", [5.5, True, np.int64(5)], ids=["float", "bool", "int64"])
+    def test_timetable_time_must_be_an_int(self, time):
+        # the bad time sits on the second event, so the message names it
+        times = {Event.departure("t", "A"): 0, Event.arrival("t", "B"): time}
+        expected = f"time {time!r} for arrival of t at B must be an integer in [0, 60)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            Timetable(60, times)

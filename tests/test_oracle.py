@@ -17,28 +17,15 @@ from conftest import (
 
 
 class TestLattice:
-    def test_stride_keeps_endpoints(self):
-        assert oracle.lattice(0, 10, 4) == (0, 4, 8, 10)
-        assert oracle.lattice(3, 3, 1) == (3,)
-        assert oracle.lattice(0, 9, 3) == (0, 3, 6, 9)
-
     def test_space_size_is_product_of_ranges(self):
         inst = make_instance(60, [Train("t", 3, (Trip("A", "B", 10, 12),))])
-        assert oracle.lattice_size(inst, 1) == 60 * 3
-        assert oracle.lattice_size(inst, 59) == 2 * 2  # endpoints always kept
-
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_nonpositive_stride_rejected_by_name(self, stride):
-        with pytest.raises(ValueError, match="stride"):
-            oracle.lattice(0, 10, stride)
-        with pytest.raises(ValueError, match="stride"):
-            oracle.exhaustive_min(micro_unsat_connection(), stride=stride)
+        assert oracle.lattice_size(inst) == 60 * 3
 
 
 class TestExhaustiveMin:
     def test_space_cap_enforced(self, cs1):
         with pytest.raises(SpaceTooLarge) as info:
-            oracle.exhaustive_min(cs1, stride=1, space_cap=10**6)
+            oracle.exhaustive_min(cs1, space_cap=10**6)
         assert info.value.size > 10**6
 
     def test_no_pairwise_constraints_min_zero_lex_witness(self):
@@ -66,7 +53,7 @@ class TestExhaustiveMin:
         index = inst.event_index
         constraints = model.derive_bounds(inst)
         windows = zip(index.gene_lo.tolist(), index.gene_hi.tolist())
-        axes = [oracle.lattice(lo, hi, 1) for lo, hi in windows]
+        axes = [range(lo, hi + 1) for lo, hi in windows]
         minimizers = [
             combo
             for combo in itertools.product(*axes)
@@ -77,23 +64,15 @@ class TestExhaustiveMin:
         ]
         assert witness.genes == min(minimizers)
 
-    def test_stride_minimum_never_beats_full_minimum(self, micro_instance):
-        full, _ = oracle.exhaustive_min(micro_instance, stride=1)
-        coarse, _ = oracle.exhaustive_min(micro_instance, stride=3)
-        assert coarse >= full
-
 
 class TestIndependence:
-    # (best, lexicographically smallest witness) at strides 1 and 3
+    # (best, lexicographically smallest witness)
     PINNED = {
-        "headway_connection": ((0, (0, 3, 1, 3, 8, 5)), (0, (0, 3, 1, 3, 9, 4))),
-        "mutual_transfers": ((0, (0, 3, 1, 3, 0, 3, 1, 3)),) * 2,
-        "single_track": ((0, (0, 3, 0, 3)),) * 2,
-        "three_trains": (
-            (0, (0, 3, 1, 3, 2, 3, 1, 3, 1, 3)),
-            (0, (0, 3, 1, 3, 3, 3, 1, 3, 11, 3)),
-        ),
-        "unsat_connection": ((1, (0, 3, 0, 3)),) * 2,
+        "headway_connection": (0, (0, 3, 1, 3, 8, 5)),
+        "mutual_transfers": (0, (0, 3, 1, 3, 0, 3, 1, 3)),
+        "single_track": (0, (0, 3, 0, 3)),
+        "three_trains": (0, (0, 3, 1, 3, 2, 3, 1, 3, 1, 3)),
+        "unsat_connection": (1, (0, 3, 0, 3)),
     }
 
     def test_oracle_never_calls_the_evaluator(self, monkeypatch):
@@ -111,9 +90,8 @@ class TestIndependence:
             monkeypatch.setattr(model, name, forbidden)
         oracle._checks.cache_clear()
         for name, (inst, tt, counts) in reference.items():
-            for stride, pinned in zip((1, 3), self.PINNED[name]):
-                best, witness = oracle.exhaustive_min(inst, stride=stride)
-                assert (best, witness.genes) == pinned
+            best, witness = oracle.exhaustive_min(inst)
+            assert (best, witness.genes) == self.PINNED[name]
             assert oracle.check_independent(tt, inst).violations_by_type == counts
 
 

@@ -22,6 +22,7 @@ REMOVED = [
     (model, "check_period"),
     (engine.GaConfig, "validate"),
     (cli.ExperimentSpec, "validate"),
+    (oracle, "lattice"),
 ]
 
 
@@ -38,6 +39,13 @@ def test_removed_names_are_gone(owner, name):
 def test_removed_ga_config_arguments_are_refused(name):
     with pytest.raises(TypeError):
         engine.GaConfig(**{name: 1})
+
+
+def test_removed_exhaustive_min_stride_is_refused(cs1):
+    with pytest.raises(TypeError):
+        oracle.exhaustive_min(cs1, stride=1)
+    with pytest.raises(TypeError):  # the old second positional, now keyword-only space_cap
+        oracle.exhaustive_min(cs1, 1)
 
 
 # (owner, attribute) pairs that the benchmark wraps through `owner.__dict__`
