@@ -61,15 +61,24 @@ def decode_array(genes: np.ndarray, instance: Instance) -> np.ndarray:
 def decode(genotype: Genotype, instance: Instance) -> Timetable:
     """Turn a genotype into the timetable it encodes (`decode_array` on
     one row). In-bounds genotypes satisfy all running and dwell windows
-    by construction; out-of-bounds ones are rejected."""
+    by construction; out-of-bounds ones are rejected.
+
+    A gene must be an integer: a float (even a whole one) or a str is
+    refused, never truncated or parsed. A bool or a numpy integer holds an
+    exact integer and is read as that integer.
+    """
     index = instance.event_index
     if len(genotype) != len(index.events):
         raise OutOfBoundsGene(
             f"genotype has {len(genotype)} genes, layout needs {len(index.events)}"
         )
-    try:
-        genes = np.asarray(genotype.genes, dtype=np.int64)
-    except OverflowError:  # a gene beyond int64 lies outside every window
+    genes = np.asarray(genotype.genes)
+    if genes.dtype.kind not in "biu":
+        # numpy reads a float, a str or an int beyond int64 (which lies
+        # outside every window) as some other kind: name a non-integer gene
+        for pos, gene in enumerate(genotype.genes):
+            if not isinstance(gene, (int, np.integer)):
+                raise OutOfBoundsGene(f"gene {pos} = {gene!r} is not an integer")
         genes = np.asarray(genotype.genes, dtype=object)
     outside = np.flatnonzero((genes < index.gene_lo) | (genes > index.gene_hi))
     if len(outside):

@@ -503,7 +503,7 @@ def _checked_result(
 ) -> RunResult:
     """A run's answer: the best genotype's report, re-checked against
     `oracle.check_independent`."""
-    best_genotype = codec.Genotype(tuple(int(g) for g in genes))
+    best_genotype = codec.Genotype(tuple(genes.tolist()))
     timetable = codec.decode(best_genotype, instance)
     report = model.evaluate(timetable, constraints, instance.weights)
     independent = oracle.check_independent(timetable, instance).violations_by_type

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter, is_
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -220,13 +222,13 @@ class Instance:
         return state
 
 
-@dataclass(frozen=True)
-class PeriodicConstraint:
+class PeriodicConstraint(NamedTuple):
     """Periodic window constraint between two events.
 
     Satisfied iff some integer q puts ``time(later) - time(earlier) +
     q*period`` inside ``[lo, hi]``. Windows are narrower than the period,
-    so at most one q can work.
+    so at most one q can work. A plain tuple, like `Event`: it is built
+    in C, and ``_replace`` makes a changed copy.
     """
 
     kind: ConstraintKind
@@ -651,6 +653,55 @@ def weighted_fitness(
     return total
 
 
+@dataclass(eq=False)
+class _Plan:
+    """`evaluate`'s arrays for one constraint list: each constraint's
+    window and family code, and ``columns``, the key tuple of the last
+    timetable scored with its later and earlier event columns in that key
+    order."""
+
+    constraints: tuple[PeriodicConstraint, ...]
+    lo: np.ndarray
+    width: np.ndarray
+    code: np.ndarray
+    columns: tuple = (None, None, None)
+
+    @classmethod
+    def of(cls, constraints: Sequence[PeriodicConstraint]) -> "_Plan":
+        family = {kind: code for code, kind in enumerate(ConstraintKind)}
+        n = len(constraints)
+        lo = np.fromiter(map(attrgetter("lo"), constraints), np.int64, n)
+        hi = np.fromiter(map(attrgetter("hi"), constraints), np.int64, n)
+        kinds = map(attrgetter("kind"), constraints)
+        code = np.fromiter(map(family.__getitem__, kinds), np.int64, n)
+        return cls(tuple(constraints), lo, hi - lo, code)
+
+    def read_columns(self, tt: Timetable) -> tuple:
+        keys = tuple(tt.times)
+        column = dict(zip(keys, range(len(keys)))).__getitem__
+        constraints, n = self.constraints, len(self.constraints)
+        try:
+            y = np.fromiter(map(column, map(attrgetter("later"), constraints)), np.int64, n)
+            x = np.fromiter(map(column, map(attrgetter("earlier"), constraints)), np.int64, n)
+        except KeyError:
+            for c in constraints:  # tt.of raises MissingEvent, later event first
+                tt.of(c.later)
+                tt.of(c.earlier)
+            raise
+        self.columns = (keys, y, x)  # one assignment: a reader sees one timetable's columns
+        return self.columns
+
+
+#: `evaluate`'s plans by ``id`` of the constraint list, cleared when full.
+_plans: dict[int, _Plan] = {}
+_MAX_PLANS = 8
+
+
+def _same(items, cached) -> bool:
+    """Whether ``items`` iterates over exactly the objects of ``cached``."""
+    return len(items) == len(cached) and all(map(is_, items, cached))
+
+
 def evaluate(
     tt: Timetable,
     constraints: Sequence[PeriodicConstraint],
@@ -660,21 +711,45 @@ def evaluate(
 
     Each violated constraint counts once toward its family regardless of
     how far outside the window the difference lies; the fitness is
-    `weighted_fitness` of those counts.
+    `weighted_fitness` of those counts. ``violated`` lists the violated
+    constraints in the order of ``constraints``.
+
+    The constraints are scored in one `window_test` pass over arrays, a
+    plan kept per constraint list in a module-level memo keyed by
+    ``id(constraints)``. It holds at most 8 plans and is cleared when
+    full. Two identity checks keep it exact:
+
+    * the windows and families are reused only while ``constraints``
+      holds the very objects the plan was built from, in order, so a list
+      edited in place or a recycled ``id`` gets a new plan;
+    * the event columns are reused only while ``tt.times`` has the very
+      key objects, in order, of the last timetable scored; `codec.decode`
+      and `shift_timetable` key every timetable of an instance by the
+      same `EventIndex` events, so their timetables share columns.
+
+    A rebuild costs about one evaluation by a per-constraint Python loop:
+    the windows after a new constraint list, the columns after a timetable
+    keyed by other `Event` objects than the last one, such as one read
+    from a file.
     """
+    plan = _plans.get(id(constraints))
+    if plan is None or not _same(constraints, plan.constraints):
+        if len(_plans) >= _MAX_PLANS:
+            _plans.clear()
+        plan = _plans[id(constraints)] = _Plan.of(constraints)
+    keys, y, x = plan.columns
+    if keys is None or not _same(tt.times, keys):
+        keys, y, x = plan.read_columns(tt)
     period = tt.period
-    times = tt.times
-    counts = {kind: 0 for kind in ConstraintKind}
-    violated: list[Violation] = []
-    for c in constraints:
-        try:
-            raw = times[c.later] - times[c.earlier]
-        except KeyError:
-            raw = tt.of(c.later) - tt.of(c.earlier)  # raises MissingEvent naming the event
-        if window_test(raw, c.lo, c.hi - c.lo, period):
-            counts[c.kind] += 1
-            violated.append(Violation(c, raw % period))
-    return EvaluationReport(counts, weighted_fitness(counts, weights), tuple(violated))
+    values = np.fromiter(tt.times.values(), np.int64, len(keys))
+    raw = values[y] - values[x]
+    hit = np.flatnonzero(window_test(raw, plan.lo, plan.width, period))
+    tally = np.bincount(plan.code[hit], minlength=len(ConstraintKind)).tolist()
+    counts = dict(zip(ConstraintKind, tally))  # Python ints: fitness as a scalar sum
+    hit_constraints = map(plan.constraints.__getitem__, hit.tolist())
+    diffs = (raw[hit] % period).tolist()
+    violated = tuple(map(tuple.__new__, repeat(Violation), zip(hit_constraints, diffs)))
+    return EvaluationReport(counts, weighted_fitness(counts, weights), violated)
 
 
 def shift_timetable(tt: Timetable, delta: int) -> Timetable:

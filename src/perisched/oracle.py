@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -61,10 +62,8 @@ def exhaustive_min(
     if size > space_cap:
         raise SpaceTooLarge(size, space_cap)
 
-    checklist, x, y, lo, hi = _checks(instance)
-    family = {
-        k: [i for i, c in enumerate(checklist) if c.kind is k] for k in model.ConstraintKind
-    }
+    checklist, x, y, lo, hi, code = _checks(instance)
+    family = {k: np.flatnonzero(code == i) for i, k in enumerate(model.ConstraintKind)}
     rows = max(1, (1 << 20) // max(len(shape), len(checklist)))  # ~2**20 entries per array
 
     best_fitness, best_genes = math.inf, None
@@ -79,7 +78,7 @@ def exhaustive_min(
         if fitness[i] < best_fitness:
             best_fitness = fitness[i].item()
             best_genes = genes[i]
-    return best_fitness, codec.Genotype(tuple(int(g) for g in best_genes))
+    return best_fitness, codec.Genotype(tuple(best_genes.tolist()))
 
 
 def _normalize(lo: int, hi: int, period: int) -> tuple[int, int]:
@@ -179,15 +178,18 @@ def _checklist(instance: model.Instance) -> tuple[model.PeriodicConstraint, ...]
 
 @lru_cache(maxsize=8)
 def _checks(instance: model.Instance):
-    """`_checklist` plus the event columns and windows of its constraints as
-    arrays, built once per instance."""
+    """`_checklist` plus the event columns, windows and family positions (in
+    `model.ConstraintKind` order) of its constraints as arrays, built once
+    per instance."""
     checklist = _checklist(instance)
     column = instance.event_index.column
+    kinds = list(model.ConstraintKind)
     x = np.asarray([column[c.earlier] for c in checklist], dtype=np.int64)
     y = np.asarray([column[c.later] for c in checklist], dtype=np.int64)
     lo = np.asarray([c.lo for c in checklist], dtype=np.int64)
     hi = np.asarray([c.hi for c in checklist], dtype=np.int64)
-    return checklist, x, y, lo, hi
+    code = np.asarray([kinds.index(c.kind) for c in checklist], dtype=np.int64)
+    return checklist, x, y, lo, hi, code
 
 
 def check_independent(
@@ -197,14 +199,20 @@ def check_independent(
     over `_checklist`: no modulo reduction is involved, so this is an
     independent cross-check of the main evaluator."""
     T = instance.period
-    checklist, x, y, lo, hi = _checks(instance)
-    times = np.asarray([tt.of(e) for e in instance.event_index.events], dtype=np.int64)
+    checklist, x, y, lo, hi, code = _checks(instance)
+    events = instance.event_index.events
+    try:
+        times = np.fromiter(map(tt.times.__getitem__, events), np.int64, len(events))
+    except KeyError:
+        for e in events:
+            tt.of(e)  # raises MissingEvent naming the first missing event
+        raise
     raw = times[y] - times[x]
-    counts = {kind: 0 for kind in model.ConstraintKind}
-    violated: list[model.Violation] = []
-    for i in np.flatnonzero(~_wrap_trial(raw, lo, hi, T)).tolist():
-        c = checklist[i]
-        counts[c.kind] += 1
-        violated.append(model.Violation(c, int(raw[i]) % T))
+    bad = np.flatnonzero(~_wrap_trial(raw, lo, hi, T))
+    tally = np.bincount(code[bad], minlength=len(model.ConstraintKind)).tolist()
+    counts = dict(zip(model.ConstraintKind, tally))
+    diffs = (raw[bad] % T).tolist()
+    pairs = zip(map(checklist.__getitem__, bad.tolist()), diffs)
+    violated = tuple(map(tuple.__new__, repeat(model.Violation), pairs))
     fitness = model.weighted_fitness(counts, instance.weights)
-    return model.EvaluationReport(counts, fitness, tuple(violated))
+    return model.EvaluationReport(counts, fitness, violated)

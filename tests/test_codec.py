@@ -112,6 +112,30 @@ class TestDecode:
             codec.decode(codec.Genotype((10, gene)), single_trip_instance())
         assert str(info.value) == f"gene 1 = {gene} outside [10, 12]"
 
+    @pytest.mark.parametrize("gene", [9.7, 10.0, "10", None, np.float64(10)])
+    def test_non_integer_gene_rejected(self, cs1, gene):
+        # never truncated (9.7 read as 9) or parsed ("10" read as 10)
+        genes = list(cs1.event_index.gene_lo.tolist())
+        genes[1] = gene
+        with pytest.raises(OutOfBoundsGene) as info:
+            codec.decode(codec.Genotype(tuple(genes)), cs1)
+        assert str(info.value) == f"gene 1 = {gene!r} is not an integer"
+
+    def test_first_non_integer_gene_is_named_beside_an_outsized_one(self):
+        for genes, named in (((10, 2**70), None), ((9.7, 2**70), 0), ((10**30, "11"), 1)):
+            with pytest.raises(OutOfBoundsGene) as info:
+                codec.decode(codec.Genotype(genes), single_trip_instance())
+            if named is None:
+                assert str(info.value) == f"gene 1 = {2**70} outside [10, 12]"
+            else:
+                assert str(info.value) == f"gene {named} = {genes[named]!r} is not an integer"
+
+    def test_bools_and_numpy_integers_read_as_integers(self):
+        inst = single_trip_instance()
+        expected = codec.decode(codec.Genotype((1, 11)), inst)
+        for genes in ((True, 11), (np.int8(1), np.int64(11)), (np.uint64(1), 11)):
+            assert codec.decode(codec.Genotype(genes), inst) == expected
+
     def test_structural_satisfaction_random_genotypes(self, micro_instance):
         bounds = codec.gene_bounds(micro_instance)
         constraints = model.derive_bounds(micro_instance)

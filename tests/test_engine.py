@@ -669,7 +669,7 @@ class TestRun:
         inst = micro_three_trains()
         constraints = model.derive_bounds(inst)
         running = next(c for c in constraints if c.kind is model.ConstraintKind.RUNNING)
-        unreachable = dataclasses.replace(running, lo=running.hi + 2, hi=running.hi + 3)
+        unreachable = running._replace(lo=running.hi + 2, hi=running.hi + 3)
         constraints = [unreachable if c is running else c for c in constraints]
         with pytest.raises(EvaluatorMismatch, match="running"):
             engine.run(inst, constraints, tiny_config())

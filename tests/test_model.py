@@ -428,8 +428,7 @@ class TestDerivationPins:
             mine = [x for x in union if x.later.train.startswith(tag)]
             assert all(x.earlier.train.startswith(tag) for x in mine)
             expected = [
-                dataclasses.replace(
-                    x,
+                x._replace(
                     earlier=x.earlier._replace(train=tag + x.earlier.train, station=tag + x.earlier.station),
                     later=x.later._replace(train=tag + x.later.train, station=tag + x.later.station),
                 )

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import json
 import operator
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from perisched import codec, engine, model, oracle
-from perisched.errors import TimetablingError
+from perisched.errors import MissingEvent, TimetablingError
 from perisched.instances import (
     build_cs1,
     dumps,
@@ -27,6 +29,7 @@ from perisched.model import (
     ConstraintKind,
     Instance,
     Segment,
+    Timetable,
     Train,
     Trip,
     WeightConfig,
@@ -345,6 +348,136 @@ def test_shift_keeps_family_counts(instance, seed, delta):
     counts = model.evaluate(tt, constraints, instance.weights).violations_by_type
     assert model.evaluate(shifted, constraints, instance.weights).violations_by_type == counts
     assert oracle.check_independent(shifted, instance).violations_by_type == counts
+
+
+def loop_evaluate(tt, constraints, weights):
+    """`model.evaluate` as one Python step per constraint."""
+    counts = {kind: 0 for kind in ConstraintKind}
+    violated = []
+    for c in constraints:
+        raw = tt.of(c.later) - tt.of(c.earlier)
+        if model.window_test(raw, c.lo, c.hi - c.lo, tt.period):
+            counts[c.kind] += 1
+            violated.append(model.Violation(c, raw % tt.period))
+    return model.EvaluationReport(counts, model.weighted_fitness(counts, weights), tuple(violated))
+
+
+def assert_evaluates_as_the_loop(tt, constraints, weights):
+    report = model.evaluate(tt, constraints, weights)
+    expected = loop_evaluate(tt, constraints, weights)
+    assert report == expected
+    assert all(a.constraint is b.constraint for a, b in zip(report.violated, expected.violated))
+    assert {type(n) for n in report.violations_by_type.values()} == {int}
+    assert all(type(v) is model.Violation and type(v.diff) is int for v in report.violated)
+    assert type(report.weighted_fitness) is type(expected.weighted_fitness)
+
+
+def flipped(c, tt):
+    """``c`` with a window that reverses its verdict on ``tt``: exactly the
+    current residue if violated, every other residue if not."""
+    d = (tt.of(c.later) - tt.of(c.earlier)) % tt.period
+    if model.window_test(d, c.lo, c.hi - c.lo, tt.period):
+        return c._replace(lo=d, hi=d)
+    return c._replace(lo=d + 1 - tt.period, hi=d - 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_evaluate_is_the_per_constraint_loop(instance, seed, rnd):
+    constraints = model.derive_bounds(instance)
+    rng = np.random.default_rng(seed)
+    index = instance.event_index
+    genes = rng.integers(index.gene_lo, index.gene_hi + 1)
+    timetables = [
+        random_timetable(instance, rng),
+        codec.decode(codec.Genotype(tuple(genes.tolist())), instance),
+    ]
+    for weights in (instance.weights, WeightConfig(), FRACTIONAL):
+        for tt in timetables:
+            assert_evaluates_as_the_loop(tt, constraints, weights)
+
+    # right after a cached call: fresh events in shuffled order
+    items = list(timetables[0].times.items())
+    rnd.shuffle(items)
+    fresh = Timetable(instance.period, {model.Event(*e): t for e, t in items})
+    assert not any(e is index.events[index.column[e]] for e in fresh.times)
+    assert_evaluates_as_the_loop(fresh, constraints, FRACTIONAL)
+    tt = timetables[0]
+    assert_evaluates_as_the_loop(tt, constraints, FRACTIONAL)
+
+    # the list edited in place: one constraint replaced, then one appended
+    i = rnd.randrange(len(constraints))
+    constraints[i] = flipped(constraints[i], tt)
+    assert_evaluates_as_the_loop(tt, constraints, FRACTIONAL)
+    constraints.append(flipped(constraints[rnd.randrange(len(constraints))], tt))
+    assert_evaluates_as_the_loop(tt, constraints, FRACTIONAL)
+
+
+def test_evaluate_keeps_at_most_eight_plans(cs1):
+    constraints = model.derive_bounds(cs1)
+    tt = random_timetable(cs1, np.random.default_rng(3))
+    expected = model.evaluate(tt, constraints, cs1.weights)
+    lists = [list(constraints) for _ in range(20)]
+    for each in lists:
+        assert model.evaluate(tt, each, cs1.weights) == expected
+        assert len(model._plans) <= 8
+
+
+def test_evaluate_shares_plans_between_threads(cs1):
+    # threads that alternate timetables keyed by the index's events and by
+    # fresh ones rebuild one plan's columns under each other
+    constraints = model.derive_bounds(cs1)
+    rng = np.random.default_rng(4)
+    timetables = [random_timetable(cs1, rng) for _ in range(4)]
+    timetables += [
+        Timetable(tt.period, {model.Event(*e): t for e, t in reversed(tt.times.items())})
+        for tt in timetables
+    ]
+    expected = [loop_evaluate(tt, constraints, cs1.weights) for tt in timetables]
+    wrong = []
+
+    def work(offset):
+        for k in range(150):
+            i = (offset + k) % len(timetables)
+            if model.evaluate(timetables[i], constraints, cs1.weights) != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def error_text(call) -> str:
+    with pytest.raises(MissingEvent) as info:
+        call()
+    return str(info.value)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 2**32 - 1), st.data())
+def test_missing_events_are_named_as_one_at_a_time(instance, seed, data):
+    constraints = model.derive_bounds(instance)
+    tt = random_timetable(instance, np.random.default_rng(seed))
+    model.evaluate(tt, constraints, instance.weights)  # a cached plan for this list
+    events = instance.event_index.events
+    dropped = data.draw(st.sets(st.sampled_from(events), min_size=1))
+    partial = Timetable(tt.period, {e: t for e, t in tt.times.items() if e not in dropped})
+    assert error_text(
+        lambda: model.evaluate(partial, constraints, instance.weights)
+    ) == error_text(lambda: loop_evaluate(partial, constraints, instance.weights))
+    first = next(e for e in events if e in dropped)
+    assert error_text(lambda: oracle.check_independent(partial, instance)) == error_text(
+        lambda: partial.of(first)
+    )
 
 
 DROP = object()
