@@ -14,6 +14,7 @@ import concurrent.futures
 import dataclasses
 import sys
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import codec, engine, instances, model
@@ -118,7 +119,7 @@ class AggregateRow:
 
 def _run_rows(
     instance: model.Instance,
-    constraints: list[model.PeriodicConstraint],
+    constraints: Sequence[model.PeriodicConstraint],
     limits: tuple[int, ...],
     pop: int,
     run_index: int,
@@ -341,21 +342,16 @@ def clock_str(abs_minute: int) -> str:
 # subcommands
 
 def _print_timetable(instance: model.Instance, tt: model.Timetable) -> None:
-    for train in instance.trains:
+    index = instance.event_index
+    for train, start in zip(instance.trains, index.section_offsets.tolist()):
         print(f"train {train.id} (headway {train.basic_headway}):")
         print(f"  {'station':<10}{'arrival':>9}{'departure':>11}")
         stops = [train.route[0].from_station] + [t.to_station for t in train.route]
-        for k, station in enumerate(stops):
-            arr = (
-                "-"
-                if k == 0
-                else str(tt.of(model.Event.arrival(train.id, station)))
-            )
-            dep = (
-                "-"
-                if k == len(stops) - 1
-                else str(tt.of(model.Event.departure(train.id, station)))
-            )
+        # a train's section: its first departure, each stop's arrival and
+        # departure, its last arrival
+        section = index.events[start : start + 2 * len(train.route)]
+        times = ["-", *(str(tt.of(e)) for e in section), "-"]
+        for station, arr, dep in zip(stops, times[::2], times[1::2]):
             print(f"  {station:<10}{arr:>9}{dep:>11}")
         print()
 
@@ -432,22 +428,15 @@ def _cmd_expand(args) -> int:
     tt = instances.load_timetable(args.timetable, instance)
     entries = model.expand_periods(tt, args.k)
 
-    trip_at = {
-        (train.id, trip.from_station): trip
-        for train in instance.trains
-        for trip in train.route
-    }
+    index = instance.event_index
     rows = []
     for abs_time, event in entries:
         if event.kind is not model.EventKind.DEPARTURE:
             continue
-        trip = trip_at[(event.train, event.station)]
-        run = (
-            tt.of(model.Event.arrival(event.train, trip.to_station))
-            - tt.of(event)
-        ) % instance.period
+        arrival = index.events[index.column[event] + 1]  # the arrival of its trip
+        run = (tt.of(arrival) - tt.of(event)) % instance.period
         depart = args.epoch + abs_time
-        rows.append((trip.from_station, trip.to_station, depart, depart + run))
+        rows.append((event.station, arrival.station, depart, depart + run))
 
     headers = ("From", "To", "Departure", "Arrival")
     table = [

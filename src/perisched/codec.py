@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfBoundsGene
-from .model import Instance, Timetable
+from .model import Instance, Timetable, _IndexedTimes
 
 __all__ = ["Genotype", "gene_bounds", "decode", "decode_array", "random_genotype"]
 
@@ -59,9 +59,10 @@ def decode_array(genes: np.ndarray, instance: Instance) -> np.ndarray:
 
 
 def decode(genotype: Genotype, instance: Instance) -> Timetable:
-    """Turn a genotype into the timetable it encodes (`decode_array` on
-    one row). In-bounds genotypes satisfy all running and dwell windows
-    by construction; out-of-bounds ones are rejected.
+    """Turn a genotype into the timetable it encodes: `decode_array`'s
+    row, over the instance's event index. In-bounds genotypes satisfy all
+    running and dwell windows by construction; out-of-bounds ones are
+    rejected.
 
     A gene must be an integer: a float (even a whole one) or a str is
     refused, never truncated or parsed. A bool or a numpy integer holds an
@@ -85,8 +86,7 @@ def decode(genotype: Genotype, instance: Instance) -> Timetable:
         pos = outside[0]
         lo, hi = index.gene_lo[pos], index.gene_hi[pos]
         raise OutOfBoundsGene(f"gene {pos} = {genotype.genes[pos]} outside [{lo}, {hi}]")
-    times = decode_array(genes, instance)
-    return Timetable(instance.period, dict(zip(index.events, times.tolist())))
+    return Timetable(instance.period, _IndexedTimes(index, decode_array(genes, instance)))
 
 
 def random_genotype(

@@ -43,13 +43,6 @@ from . import codec, model, oracle
 from .errors import ConfigInvalid, EvaluatorMismatch, MissingEvent
 
 
-_PAIR_KINDS = (
-    model.ConstraintKind.HEADWAY,
-    model.ConstraintKind.SINGLE_TRACK,
-    model.ConstraintKind.CONNECTION,
-)
-
-
 class Termination(Enum):
     OPTIMUM_FOUND = "optimum_found"
     EVAL_LIMIT = "eval_limit"
@@ -108,9 +101,9 @@ class CompiledProblem:
     populations at once.
 
     Genotype rows decode to event-time rows with `codec.decode_array`.
-    Pairwise constraints become index/bound arrays over those event
-    columns (`pair_x`, `pair_y`), grouped by family so that violations are
-    counted per family.
+    The pairwise constraints' rows of `model.derive_bounds`' table (or one
+    built here, for any other sequence) give their event columns
+    (`pair_x`, `pair_y`) and windows, grouped by family.
 
     An event time is a prefix sum of its train's section, so fitness needs
     only the genes up to each section's last column that a pair reads: the
@@ -169,26 +162,32 @@ class CompiledProblem:
         # the narrowest signed type holding both lo and hi (its max is -min - 1)
         self.gene_dtype = np.min_scalar_type(min(lo, -hi - 1))
 
-        # running and dwell hold by construction: their slices stay empty
-        pairs: list[model.PeriodicConstraint] = []
-        self.family_slice = {kind: slice(0, 0) for kind in model.ConstraintKind}
-        for kind in _PAIR_KINDS:
-            group = [c for c in constraints if c.kind is kind]
-            self.family_slice[kind] = slice(len(pairs), len(pairs) + len(group))
-            pairs += group
-
-        column = index.column
-        try:
-            self.pair_x = np.asarray([column[c.earlier] for c in pairs], dtype=np.int64)
-            self.pair_y = np.asarray([column[c.later] for c in pairs], dtype=np.int64)
-        except KeyError as e:
-            event = e.args[0]
-            raise MissingEvent(
-                f"constraint references {event.kind.value} of {event.train} at "
-                f"{event.station}, which this instance never schedules"
-            ) from None
-        self.pair_lo = np.asarray([c.lo for c in pairs], dtype=self.dtype)
-        self.pair_width = np.asarray([c.hi - c.lo for c in pairs], dtype=self.dtype)
+        table = constraints
+        if type(table) is not model._ConstraintTable or table.events is not index.events:
+            try:
+                table = model._ConstraintTable.over(constraints, index.events, index.column)
+            except KeyError as e:
+                event = e.args[0]
+                raise MissingEvent(
+                    f"constraint references {event.kind.value} of {event.train} at "
+                    f"{event.station}, which this instance never schedules"
+                ) from None
+        # sorted stably by family, the rows after the running and dwell ones
+        # are the pair families', grouped in `ConstraintKind` order and each
+        # in list order; running and dwell hold by construction, so their
+        # slices stay empty
+        sizes = np.bincount(table.code, minlength=len(model.ConstraintKind)).tolist()
+        first = sizes[0] + sizes[1]
+        pairs = np.argsort(table.code, kind="stable")[first:]
+        ends = [max(end - first, 0) for end in itertools.accumulate(sizes)]
+        self.family_slice = {
+            kind: slice(max(end - size, 0), end)
+            for kind, size, end in zip(model.ConstraintKind, sizes, ends)
+        }
+        self.pair_x = table.earlier[pairs]
+        self.pair_y = table.later[pairs]
+        self.pair_lo = table.lo[pairs].astype(self.dtype)
+        self.pair_width = table.width[pairs].astype(self.dtype)
 
         # each section's columns up to the last one a pair reads
         offsets = index.section_offsets

@@ -313,7 +313,9 @@ def save_timetable(tt: Timetable, path: str | Path) -> None:
 
 
 def load_timetable(path: str | Path, instance: Instance) -> Timetable:
-    """Load a timetable file and check it covers the instance's events."""
+    """Load a timetable file and check it covers the instance's events;
+    its times are a row over the instance's event index, as `codec.decode`
+    gives."""
     period, events = _fields(_read_json(path), ("timetable",), _TIMETABLE)
     if period != instance.period:
         raise ValidationError(
@@ -345,7 +347,8 @@ def load_timetable(path: str | Path, instance: Instance) -> Timetable:
                 f"timetable lacks {event.kind.value} of train {event.train} "
                 f"at station {event.station}"
             )
-    return Timetable(period, times)
+    checked = Timetable(period, times)  # names the first time outside [0, period) in file order
+    return Timetable(period, model._IndexedTimes(index, model._row(checked, index.events)))
 
 
 def bundled_path(name: str) -> Path:
@@ -652,11 +655,9 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
     )
 
     phases = {t.id: int(rng.integers(T)) for t in trains}
-    pairwise = [
-        c
-        for c in model.derive_bounds(skeleton)
-        if c.kind in (ConstraintKind.HEADWAY, ConstraintKind.SINGLE_TRACK)
-    ]
+    # decoded, the skeleton (no connections yet) can break only its headway
+    # and single-track constraints
+    bounds = model.derive_bounds(skeleton)
     # phase-fix one independent group at a time: the second corridor line
     # of each sharing pair and the reverse train of each single-track line
     groups = [
@@ -667,23 +668,19 @@ def _try_generate_cs2(rng, seed: int) -> Instance | None:
         ("L07b",),
     ]
     for movable in groups:
-        relevant = [
-            c
-            for c in pairwise
-            if c.earlier.train in movable or c.later.train in movable
-        ]
         base = dict(phases)
         for delta in range(T):
             for train_id in movable:
                 phases[train_id] = (base[train_id] + delta) % T
             tt = codec.decode(_nominal_genotype(skeleton, phases), skeleton)
-            if not model.evaluate(tt, relevant, skeleton.weights).violated:
+            violated = model.evaluate(tt, bounds, skeleton.weights).violated
+            if not any(c.earlier.train in movable or c.later.train in movable for c, _ in violated):
                 break
         else:
             return None
 
     reference = codec.decode(_nominal_genotype(skeleton, phases), skeleton)
-    if model.evaluate(reference, pairwise, skeleton.weights).violated:
+    if model.evaluate(reference, bounds, skeleton.weights).violated:
         return None
 
     # pick transfer points between distinct lines

@@ -12,12 +12,13 @@ makes ``lo <= time(y) - time(x) + q*period <= hi``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
-from operator import attrgetter, is_
-from typing import Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,23 +246,56 @@ class PeriodicConstraint(NamedTuple):
         )
 
 
+class _IndexedTimes(Mapping):
+    """Event times over an `EventIndex`: the time of ``index.events[i]`` is
+    ``row[i]``, read from an int64 row that this makes read-only. Pickled
+    as a plain dict, since an index comes back from a pickle writable."""
+
+    __slots__ = ("index", "row")
+
+    def __init__(self, index: EventIndex, row: np.ndarray):
+        row.flags.writeable = False
+        self.index, self.row = index, row
+
+    def __getitem__(self, event: Event) -> int:
+        return self.row.item(self.index.column[event])
+
+    def __iter__(self):
+        return iter(self.index.events)
+
+    def __len__(self) -> int:
+        return len(self.index.events)
+
+    def __reduce__(self):
+        return dict, (dict(zip(self.index.events, self.row.tolist())),)
+
+
 @dataclass(frozen=True)
 class Timetable:
     """Canonical event times: each an int (not a float, a bool or a numpy
-    integer) in ``[0, period)``."""
+    integer) in ``[0, period)``.
+
+    ``times`` is a dict, or, from `codec.decode`, `instances.load_timetable`
+    and `shift_timetable`, a read-only mapping over an `EventIndex` and an
+    int64 row (range-checked in numpy), equal to a dict of the same times.
+    """
 
     period: int
-    times: dict[Event, int]
+    times: Mapping[Event, int]
 
     def __post_init__(self):
-        period = self.period
-        for t in self.times.values():  # the event is looked up only to name it
-            if type(t) is not int or not 0 <= t < period:
-                e = next(e for e, u in self.times.items() if u is t)
-                raise ValidationError(
-                    f"time {t!r} for {e.kind.value} of {e.train} at {e.station} "
-                    f"must be an integer in [0, {period})"
-                )
+        period, times = self.period, self.times
+        if type(times) is _IndexedTimes:
+            row = times.row
+            outside = np.flatnonzero((row < 0) | (row >= period)).tolist()
+            bad = ((times.index.events[i], row.item(i)) for i in outside)
+        else:
+            bad = ((e, t) for e, t in times.items() if type(t) is not int or not 0 <= t < period)
+        for e, t in bad:
+            raise ValidationError(
+                f"time {t!r} for {e.kind.value} of {e.train} at {e.station} "
+                f"must be an integer in [0, {period})"
+            )
 
     def of(self, event: Event) -> int:
         try:
@@ -271,6 +305,16 @@ class Timetable:
                 f"timetable has no {event.kind.value} of train {event.train} "
                 f"at station {event.station}"
             ) from None
+
+
+def _row(tt: Timetable, events: tuple[Event, ...]) -> np.ndarray:
+    """The times of ``events`` in ``tt`` as an int64 row: the timetable's
+    own row when it is over those very events, else gathered in one pass,
+    raising KeyError for an event ``tt`` lacks."""
+    times = tt.times
+    if type(times) is _IndexedTimes and times.index.events is events:
+        return times.row
+    return np.fromiter(map(times.__getitem__, events), np.int64, len(events))
 
 
 class Violation(NamedTuple):
@@ -470,8 +514,11 @@ def _normalized_window(lo: int, hi: int, period: int) -> tuple[int, int]:
     return lo - shift, hi - shift
 
 
-def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
-    """Build the full constraint set of an instance.
+def derive_bounds(instance: Instance) -> Sequence[PeriodicConstraint]:
+    """Build the full constraint set of an instance, as a tuple that also
+    carries the constraints' table over ``instance.event_index``: each
+    one's window, family and event columns as arrays, which `evaluate` and
+    `engine.CompiledProblem` read instead of the constraint objects.
 
     Families, in output order:
 
@@ -500,8 +547,9 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
     Cost: linear in the instance's legs plus the constraints emitted (up
     to sorting each train's pairs by partner). Pairs are found through an
     index from each directed leg to the trains that run it, never by
-    trying every ordered pair of trains, and every event is the one
-    object `instance.event_index` holds for it.
+    trying every ordered pair of trains. Every event is the one object
+    `instance.event_index` holds for it, and its column is known where the
+    constraint is made, so the table costs no event lookups.
     """
     T = instance.period
     index = instance.event_index
@@ -538,67 +586,86 @@ def derive_bounds(instance: Instance) -> list[PeriodicConstraint]:
                 yield i, k, j, m
 
     out: list[PeriodicConstraint] = []
+    new_constraint = partial(tuple.__new__, PeriodicConstraint)  # in C, unlike the class's __new__
+    columns: list[tuple[int, int]] = []  # each constraint's later and earlier column
 
-    def emit(kind, earlier, later, lo, hi):
-        c = PeriodicConstraint(kind, earlier, later, *_normalized_window(lo, hi, T))
-        if c.lo > c.hi:
+    def emit(kind, x, y, lo, hi):
+        c = new_constraint((kind, events[x], events[y], lo, hi))
+        if lo > hi:
             raise BoundInversion(f"inverted window, lo > hi: {c.describe()}")
         out.append(c)
+        columns.append((y, x))
 
-    for train, start in zip(trains, starts):
-        for k, trip in enumerate(train.route):
-            emit(
-                ConstraintKind.RUNNING,
-                events[start + 2 * k],
-                events[start + 2 * k + 1],
-                trip.running_lo,
-                trip.running_hi,
-            )
-
-    for train, start in zip(trains, starts):
-        for k, trip in enumerate(train.route[:-1]):
-            emit(
-                ConstraintKind.DWELL,
-                events[start + 2 * k + 1],
-                events[start + 2 * k + 2],
-                trip.dwell_after_lo,
-                trip.dwell_after_hi,
-            )
+    # a column after a section's first holds the gene whose window is the
+    # running (arrival) or dwell (later departure) window from the column before
+    gene_lo, gene_hi = index.gene_lo.tolist(), index.gene_hi.tolist()
+    for kind, first in ((ConstraintKind.RUNNING, 1), (ConstraintKind.DWELL, 2)):
+        for train, start in zip(trains, starts):
+            for y in range(start + first, start + 2 * len(train.route), 2):
+                emit(kind, y - 1, y, gene_lo[y], gene_hi[y])
 
     for i, k, j, m in pairs(runners):
         ti, tj = trains[i], trains[j]
-        emit(
-            ConstraintKind.HEADWAY,
-            events[starts[j] + 2 * m],
-            events[starts[i] + 2 * k],
-            abs(ti.route[k].running_lo - tj.route[m].running_lo) + ti.basic_headway,
-            T - tj.basic_headway,
-        )
+        lo = abs(ti.route[k].running_lo - tj.route[m].running_lo) + ti.basic_headway
+        emit(ConstraintKind.HEADWAY, starts[j] + 2 * m, starts[i] + 2 * k, lo, T - tj.basic_headway)
 
     opposing = {leg: runners[leg[::-1]] for leg in single if leg[::-1] in runners}
     for i, k, j, m in pairs(opposing):
         ti, tj = trains[i], trains[j]
-        emit(
-            ConstraintKind.SINGLE_TRACK,
-            events[starts[j] + 2 * m + 1],
-            events[starts[i] + 2 * k],
-            2 * min(ti.route[k].running_lo, tj.route[m].running_lo) + ti.basic_headway,
-            T - tj.basic_headway,
-        )
+        lo = 2 * min(ti.route[k].running_lo, tj.route[m].running_lo) + ti.basic_headway
+        x, y = starts[j] + 2 * m + 1, starts[i] + 2 * k  # j's arrival, i's departure
+        emit(ConstraintKind.SINGLE_TRACK, x, y, lo, T - tj.basic_headway)
 
     for conn in sorted(
         instance.connections,
         key=lambda c: (c.feeder_train, c.onward_train, c.station),
     ):
-        emit(
-            ConstraintKind.CONNECTION,
-            Event.arrival(conn.feeder_train, conn.station),
-            Event.departure(conn.onward_train, conn.station),
-            conn.conn_lo,
-            conn.conn_hi,
-        )
+        x = index.column[Event.arrival(conn.feeder_train, conn.station)]
+        y = index.column[Event.departure(conn.onward_train, conn.station)]
+        # the only window that can reach the period: `validate_instance`
+        # keeps the others' upper bounds below it
+        emit(ConstraintKind.CONNECTION, x, y, *_normalized_window(conn.conn_lo, conn.conn_hi, T))
 
-    return out
+    return _ConstraintTable(out, events, *zip(*columns))  # every train runs a trip
+
+
+#: The code of each constraint family: its position in `ConstraintKind`.
+_CODE = {kind: code for code, kind in enumerate(ConstraintKind)}
+
+
+class _ConstraintTable(tuple):
+    """A tuple of constraints that carries their table over an event order
+    ``events``: per constraint, its window as ``lo`` and ``width = hi -
+    lo``, its family ``code`` (see `_CODE`) and the ``later`` and
+    ``earlier`` columns of its events in ``events``, as read-only int64
+    arrays. `derive_bounds` returns one over ``instance.event_index.events``.
+    Pickled as a plain tuple.
+    """
+
+    def __new__(cls, constraints, events, later, earlier):
+        table = super().__new__(cls, constraints)
+        n = len(table)
+        kinds, _, _, lo, hi = zip(*table) if n else [()] * 5
+        table.events = events
+        table.lo, table.width, table.code, table.later, table.earlier = arrays = [
+            np.fromiter(values, np.int64, n)
+            for values in (lo, hi, map(_CODE.__getitem__, kinds), later, earlier)
+        ]
+        table.width -= table.lo
+        for array in arrays:
+            array.flags.writeable = False
+        return table
+
+    @classmethod
+    def over(cls, constraints, events, column) -> "_ConstraintTable":
+        """``constraints`` as a table over ``events``, which ``column`` maps
+        to their positions; KeyError for an event outside it."""
+        later = map(column.__getitem__, map(attrgetter("later"), constraints))
+        earlier = map(column.__getitem__, map(attrgetter("earlier"), constraints))
+        return cls(constraints, events, later, earlier)
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def window_test(raw, lo, width, period, scratch=None, out=None):
@@ -653,55 +720,6 @@ def weighted_fitness(
     return total
 
 
-@dataclass(eq=False)
-class _Plan:
-    """`evaluate`'s arrays for one constraint list: each constraint's
-    window and family code, and ``columns``, the key tuple of the last
-    timetable scored with its later and earlier event columns in that key
-    order."""
-
-    constraints: tuple[PeriodicConstraint, ...]
-    lo: np.ndarray
-    width: np.ndarray
-    code: np.ndarray
-    columns: tuple = (None, None, None)
-
-    @classmethod
-    def of(cls, constraints: Sequence[PeriodicConstraint]) -> "_Plan":
-        family = {kind: code for code, kind in enumerate(ConstraintKind)}
-        n = len(constraints)
-        lo = np.fromiter(map(attrgetter("lo"), constraints), np.int64, n)
-        hi = np.fromiter(map(attrgetter("hi"), constraints), np.int64, n)
-        kinds = map(attrgetter("kind"), constraints)
-        code = np.fromiter(map(family.__getitem__, kinds), np.int64, n)
-        return cls(tuple(constraints), lo, hi - lo, code)
-
-    def read_columns(self, tt: Timetable) -> tuple:
-        keys = tuple(tt.times)
-        column = dict(zip(keys, range(len(keys)))).__getitem__
-        constraints, n = self.constraints, len(self.constraints)
-        try:
-            y = np.fromiter(map(column, map(attrgetter("later"), constraints)), np.int64, n)
-            x = np.fromiter(map(column, map(attrgetter("earlier"), constraints)), np.int64, n)
-        except KeyError:
-            for c in constraints:  # tt.of raises MissingEvent, later event first
-                tt.of(c.later)
-                tt.of(c.earlier)
-            raise
-        self.columns = (keys, y, x)  # one assignment: a reader sees one timetable's columns
-        return self.columns
-
-
-#: `evaluate`'s plans by ``id`` of the constraint list, cleared when full.
-_plans: dict[int, _Plan] = {}
-_MAX_PLANS = 8
-
-
-def _same(items, cached) -> bool:
-    """Whether ``items`` iterates over exactly the objects of ``cached``."""
-    return len(items) == len(cached) and all(map(is_, items, cached))
-
-
 def evaluate(
     tt: Timetable,
     constraints: Sequence[PeriodicConstraint],
@@ -714,48 +732,43 @@ def evaluate(
     `weighted_fitness` of those counts. ``violated`` lists the violated
     constraints in the order of ``constraints``.
 
-    The constraints are scored in one `window_test` pass over arrays, a
-    plan kept per constraint list in a module-level memo keyed by
-    ``id(constraints)``. It holds at most 8 plans and is cleared when
-    full. Two identity checks keep it exact:
-
-    * the windows and families are reused only while ``constraints``
-      holds the very objects the plan was built from, in order, so a list
-      edited in place or a recycled ``id`` gets a new plan;
-    * the event columns are reused only while ``tt.times`` has the very
-      key objects, in order, of the last timetable scored; `codec.decode`
-      and `shift_timetable` key every timetable of an instance by the
-      same `EventIndex` events, so their timetables share columns.
-
-    A rebuild costs about one evaluation by a per-constraint Python loop:
-    the windows after a new constraint list, the columns after a timetable
-    keyed by other `Event` objects than the last one, such as one read
-    from a file.
+    The constraints are scored in one `window_test` pass over the arrays
+    of their table: `derive_bounds`' own, or, for any other sequence, one
+    built for this call over its own events. The times are the
+    timetable's row when it is over the table's events (`codec.decode`'s,
+    against its instance's `derive_bounds`), else gathered in one pass. A
+    missing event raises MissingEvent, each constraint's later event
+    checked before its earlier one, in constraint order.
     """
-    plan = _plans.get(id(constraints))
-    if plan is None or not _same(constraints, plan.constraints):
-        if len(_plans) >= _MAX_PLANS:
-            _plans.clear()
-        plan = _plans[id(constraints)] = _Plan.of(constraints)
-    keys, y, x = plan.columns
-    if keys is None or not _same(tt.times, keys):
-        keys, y, x = plan.read_columns(tt)
+    table = constraints
+    if type(table) is not _ConstraintTable:
+        own = dict.fromkeys(e for c in constraints for e in (c.later, c.earlier))
+        table = _ConstraintTable.over(constraints, tuple(own), dict(zip(own, range(len(own)))))
+    try:
+        row = _row(tt, table.events)
+    except KeyError:
+        for c in table:  # tt.of raises MissingEvent, later event first
+            tt.of(c.later)
+            tt.of(c.earlier)
+        raise
     period = tt.period
-    values = np.fromiter(tt.times.values(), np.int64, len(keys))
-    raw = values[y] - values[x]
-    hit = np.flatnonzero(window_test(raw, plan.lo, plan.width, period))
-    tally = np.bincount(plan.code[hit], minlength=len(ConstraintKind)).tolist()
+    raw = row[table.later] - row[table.earlier]
+    hit = np.flatnonzero(window_test(raw, table.lo, table.width, period))
+    tally = np.bincount(table.code[hit], minlength=len(ConstraintKind)).tolist()
     counts = dict(zip(ConstraintKind, tally))  # Python ints: fitness as a scalar sum
-    hit_constraints = map(plan.constraints.__getitem__, hit.tolist())
+    hit_constraints = map(table.__getitem__, hit.tolist())
     diffs = (raw[hit] % period).tolist()
     violated = tuple(map(tuple.__new__, repeat(Violation), zip(hit_constraints, diffs)))
     return EvaluationReport(counts, weighted_fitness(counts, weights), violated)
 
 
 def shift_timetable(tt: Timetable, delta: int) -> Timetable:
-    """Rotate every event time by ``delta`` within the timetable's period."""
-    period = tt.period
-    return Timetable(period, {e: (t + delta) % period for e, t in tt.times.items()})
+    """Rotate every event time by ``delta`` within the timetable's period.
+    A timetable over an event index stays over it."""
+    period, times = tt.period, tt.times
+    if type(times) is _IndexedTimes and type(delta) is int:
+        return Timetable(period, _IndexedTimes(times.index, (times.row + delta % period) % period))
+    return Timetable(period, {e: (t + delta) % period for e, t in times.items()})
 
 
 def expand_periods(tt: Timetable, k: int) -> list[tuple[int, Event]]:

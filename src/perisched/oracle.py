@@ -197,12 +197,13 @@ def check_independent(
 ) -> model.EvaluationReport:
     """Evaluate a timetable by explicit wrap-offset trial (`_wrap_trial`)
     over `_checklist`: no modulo reduction is involved, so this is an
-    independent cross-check of the main evaluator."""
+    independent cross-check of the main evaluator. The times are read off
+    the timetable's row if it is over ``instance.event_index``."""
     T = instance.period
     checklist, x, y, lo, hi, code = _checks(instance)
     events = instance.event_index.events
     try:
-        times = np.fromiter(map(tt.times.__getitem__, events), np.int64, len(events))
+        times = model._row(tt, events)
     except KeyError:
         for e in events:
             tt.of(e)  # raises MissingEvent naming the first missing event

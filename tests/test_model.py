@@ -601,3 +601,19 @@ class TestValidation:
         expected = f"time {time!r} for arrival of t at B must be an integer in [0, 60)"
         with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
             Timetable(60, times)
+
+    def test_decoded_times_outside_a_new_period_are_named_as_in_a_dict(self, cs1):
+        # a decoded timetable is range-checked in numpy, a dict in Python:
+        # both name the first event, in index order, whose time is too late
+        genes = cs1.event_index.gene_hi.tolist()
+        decoded = codec.decode(codec.Genotype(tuple(genes)), cs1)
+        period = max(decoded.times.values())
+        copy = Timetable(decoded.period, dict(decoded.times))
+        messages = []
+        for tt in (decoded, copy):
+            with pytest.raises(ValidationError, match="must be an integer") as refused:
+                dataclasses.replace(tt, period=period)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        late = next(e for e, t in copy.times.items() if t >= period)
+        assert f"{late.kind.value} of {late.train} at {late.station}" in messages[0]

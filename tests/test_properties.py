@@ -4,8 +4,7 @@ import dataclasses
 import functools
 import json
 import operator
-import sys
-import threading
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -18,8 +17,10 @@ from perisched import codec, engine, model, oracle
 from perisched.errors import MissingEvent, TimetablingError
 from perisched.instances import (
     build_cs1,
+    bundled_path,
     dumps,
     generate_cs2_like,
+    load,
     load_timetable,
     loads,
     save_timetable,
@@ -396,7 +397,7 @@ def test_evaluate_is_the_per_constraint_loop(instance, seed, rnd):
         for tt in timetables:
             assert_evaluates_as_the_loop(tt, constraints, weights)
 
-    # right after a cached call: fresh events in shuffled order
+    # a dict timetable keyed by fresh events in shuffled order
     items = list(timetables[0].times.items())
     rnd.shuffle(items)
     fresh = Timetable(instance.period, {model.Event(*e): t for e, t in items})
@@ -405,55 +406,13 @@ def test_evaluate_is_the_per_constraint_loop(instance, seed, rnd):
     tt = timetables[0]
     assert_evaluates_as_the_loop(tt, constraints, FRACTIONAL)
 
-    # the list edited in place: one constraint replaced, then one appended
+    # a list copy edited in place: one constraint replaced, then one appended
+    constraints = list(constraints)
     i = rnd.randrange(len(constraints))
     constraints[i] = flipped(constraints[i], tt)
     assert_evaluates_as_the_loop(tt, constraints, FRACTIONAL)
     constraints.append(flipped(constraints[rnd.randrange(len(constraints))], tt))
     assert_evaluates_as_the_loop(tt, constraints, FRACTIONAL)
-
-
-def test_evaluate_keeps_at_most_eight_plans(cs1):
-    constraints = model.derive_bounds(cs1)
-    tt = random_timetable(cs1, np.random.default_rng(3))
-    expected = model.evaluate(tt, constraints, cs1.weights)
-    lists = [list(constraints) for _ in range(20)]
-    for each in lists:
-        assert model.evaluate(tt, each, cs1.weights) == expected
-        assert len(model._plans) <= 8
-
-
-def test_evaluate_shares_plans_between_threads(cs1):
-    # threads that alternate timetables keyed by the index's events and by
-    # fresh ones rebuild one plan's columns under each other
-    constraints = model.derive_bounds(cs1)
-    rng = np.random.default_rng(4)
-    timetables = [random_timetable(cs1, rng) for _ in range(4)]
-    timetables += [
-        Timetable(tt.period, {model.Event(*e): t for e, t in reversed(tt.times.items())})
-        for tt in timetables
-    ]
-    expected = [loop_evaluate(tt, constraints, cs1.weights) for tt in timetables]
-    wrong = []
-
-    def work(offset):
-        for k in range(150):
-            i = (offset + k) % len(timetables)
-            if model.evaluate(timetables[i], constraints, cs1.weights) != expected[i]:
-                wrong.append(i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
 
 
 def error_text(call) -> str:
@@ -478,6 +437,60 @@ def test_missing_events_are_named_as_one_at_a_time(instance, seed, data):
     assert error_text(lambda: oracle.check_independent(partial, instance)) == error_text(
         lambda: partial.of(first)
     )
+
+
+BUILDERS = {
+    "cs1": build_cs1,
+    "cs2": lambda: load(bundled_path("cs2")),
+    **MICRO_BUILDERS,
+}
+bundled_and_micro = st.sampled_from(sorted(BUILDERS)).map(
+    functools.cache(lambda name: BUILDERS[name]())
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    bundled_and_micro,
+    st.sampled_from([None, FRACTIONAL]),
+    st.integers(0, 2**32 - 1),
+    st.integers(-100, 100),
+)
+def test_decoded_timetables_act_as_their_dicts(
+    tmp_path_factory, instance, weights, seed, delta
+):
+    # a timetable over the event index against a dict-built copy of it
+    if weights is not None:
+        instance = dataclasses.replace(instance, weights=weights)
+    constraints = model.derive_bounds(instance)
+    index = instance.event_index
+    genes = np.random.default_rng(seed).integers(index.gene_lo, index.gene_hi + 1)
+    decoded = codec.decode(codec.Genotype(tuple(genes.tolist())), instance)
+    copy = Timetable(decoded.period, dict(decoded.times))
+    assert type(decoded.times) is not dict and type(copy.times) is dict
+    assert decoded == copy and copy == decoded
+
+    reports = [model.evaluate(tt, constraints, instance.weights) for tt in (decoded, copy)]
+    assert reports[0] == reports[1]
+    assert type(reports[0].weighted_fitness) is type(reports[1].weighted_fitness)
+    assert oracle.check_independent(decoded, instance) == oracle.check_independent(copy, instance)
+
+    folder = tmp_path_factory.mktemp("timetables")
+    for name, tt in (("decoded.json", decoded), ("copy.json", copy)):
+        save_timetable(tt, folder / name)
+    assert (folder / "decoded.json").read_bytes() == (folder / "copy.json").read_bytes()
+    loaded = load_timetable(folder / "decoded.json", instance)
+    assert loaded == copy and copy == loaded
+    assert type(loaded.times) is type(decoded.times)
+
+    thawed = [pickle.loads(pickle.dumps(tt)) for tt in (decoded, copy)]
+    assert thawed[0] == thawed[1] == decoded
+    assert type(thawed[0].times) is dict
+
+    shifted = [model.shift_timetable(tt, delta) for tt in (decoded, copy)]
+    assert shifted[0] == shifted[1] and shifted[1] == shifted[0]
+    assert type(shifted[0].times) is type(decoded.times)
+    assert model.expand_periods(shifted[0], 2) == model.expand_periods(shifted[1], 2)
 
 
 DROP = object()
